@@ -14,7 +14,7 @@ def main():
     print("Green function on (-1,1), alpha = 1.5")
     for x, y in ((0.0, 0.5), (0.3, 0.3), (-0.9, 0.85), (0.0, 1.2)):
         g = float(green_ball(x, y, kp))
-        w = float(w_factor(x, y, kp.d))
+        w = float(w_factor(x, y))
         print(f"  G({x:5.2f},{y:5.2f}) = {g:.12f}   (w = {w:.4g})")
     print("  outside the interval the kernel is exactly zero, not merely small")
 

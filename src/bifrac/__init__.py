@@ -32,7 +32,6 @@ from .kernels import (
     PVConfig,
     distance_product_bound,
     frac_laplacian_pv,
-    gamma_fn,
     green_ball,
     green_const,
     green_interval,
@@ -94,7 +93,6 @@ __all__ = [
     "fold_sweep",
     "frac_laplacian_pv",
     "gamma_U",
-    "gamma_fn",
     "get_operator",
     "green_ball",
     "green_const",

@@ -99,6 +99,16 @@ class RunConfig:
             raise ValueError(f"samples must be positive, got {self.samples}")
         if self.h_profile not in PROFILES:
             raise ValueError(f"unknown profile {self.h_profile!r}, pick from {sorted(PROFILES)}")
+        for name in ("lambda_lo", "lambda_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("solve_tol", "rel_width"):
+            val = getattr(self, name)
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, got {val}")
+        for item, val in self.tolerances.items():
+            if not (math.isfinite(val) and val >= 0):
+                raise ValueError(f"tolerance {item} must be finite and >= 0, got {val}")
 
     def kernel_params(self) -> KernelParams:
         return KernelParams(alpha=self.alpha)
@@ -216,9 +226,11 @@ def build_forcing(cfg: RunConfig, kp: KernelParams) -> GridFunction:
     """The forcing h from the configured profile or CSV file."""
     if cfg.h_csv is not None:
         h = GridFunction.read_csv(cfg.h_csv)
-        n = h.grid.n
-        if n % 2 == 0 or n < 33:
-            raise ValueError(f"CSV grid must be odd with at least 33 nodes, got {n}")
+        # the operator is cached by grid size and built on Chebyshev nodes,
+        # so any other node set of the same size would get the wrong matrix
+        grid = make_grid(h.grid.n)
+        if np.abs(h.grid.nodes - grid.nodes).max() > 1e-15:
+            raise ValueError(f"CSV nodes must be the Chebyshev nodes of make_grid({grid.n})")
         return h
     grid = make_grid(cfg.grid_n)
     profile = GridFunction.from_callable(grid, lambda x: PROFILES[cfg.h_profile](x, kp.alpha))
@@ -243,7 +255,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
         rows.append(("green", x, y, "", float(green_ball(x, y, kp))))
     for spec_str in args.w or []:
         x, y = _parse_floats(spec_str, 2, "--w")
-        rows.append(("w", x, y, "", float(w_factor(x, y, kp.d))))
+        rows.append(("w", x, y, "", float(w_factor(x, y))))
     for spec_str in args.poisson or []:
         x, y, r = _parse_floats(spec_str, 3, "--poisson")
         rows.append(("poisson", x, y, f"{r:.17g}", float(poisson_ball(x, y, r, kp))))

@@ -239,7 +239,7 @@ _CACHE_LOCK = threading.Lock()
 
 def get_operator(grid: Grid, kp: KernelParams) -> GreenOperator:
     """Cached operator per (grid size, order); construction is deterministic."""
-    key = (grid.n, kp.d, kp.alpha)
+    key = (grid.n, kp.alpha)
     op = _CACHE.get(key)
     if op is None:
         with _CACHE_LOCK:
@@ -269,7 +269,7 @@ def operator_norm_b(kp: KernelParams, p: float) -> float:
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    key = (kp.d, kp.alpha)
+    key = kp.alpha
     if key not in _B_CACHE:
         kp.require_solver_window()
         _B_CACHE[key] = integrate_green_row(0.0, kp)
@@ -296,7 +296,7 @@ def gamma_U(
     if not 0.0 < a_half < 1.0:
         raise ValueError(f"a_half must lie in (0,1), got {a_half}")
     kp.require_solver_window()
-    key = (a_half, kp.d, kp.alpha, x_count, y_count, y_lin)
+    key = (a_half, kp.alpha, x_count, y_count, y_lin)
     if key in _GAMMA_CACHE:
         return _GAMMA_CACHE[key]
     graded = 1.0 - np.geomspace(1e-9, 1.0, y_count)
@@ -320,7 +320,7 @@ def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    key = (a_half, p, kp.d, kp.alpha)
+    key = (a_half, p, kp.alpha)
     if key in _COERC_CACHE:
         return _COERC_CACHE[key]
     g = gamma_U(a_half, kp)

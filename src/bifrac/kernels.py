@@ -1,19 +1,21 @@
-"""Explicit kernels of the fractional Laplacian on the unit ball.
+"""Explicit kernels of the fractional Laplacian on the interval (-1, 1).
 
 Provides the Green function and Poisson kernel of (-Delta)^(alpha/2) with
 zero exterior condition, the normalization constants, and a principal-value
-evaluator of the operator for grid functions on [-1,1].
+evaluator of the operator for grid functions on [-1,1].  Everything is
+one-dimensional.
 
 The Green function is
 
-    G(x,y) = c_alpha^d |x-y|^(alpha-d) * I(w(x,y)),
-    I(w) = int_0^w r^(alpha/2-1) (1+r)^(-d/2) dr,
-    w(x,y) = (1-|x|^2)(1-|y|^2) / |x-y|^2,
+    G(x,y) = c_alpha |x-y|^(alpha-1) * I(w(x,y)),
+    I(w) = int_0^w r^(s-1) (1+r)^(-1/2) dr,    s = alpha/2,
+    w(x,y) = (1-x^2)(1-y^2) / (x-y)^2,
 
-zero as soon as either argument leaves the open ball.  For d = 1 and
-alpha > 1 the product form is 0*inf on the diagonal; evaluation there uses
-an exact split of I into a closed-form divergent part and a bounded
-remainder, which is also what makes near-diagonal values stable.
+zero as soon as either argument leaves the open interval.  I is a Gauss
+hypergeometric function (DLMF 15.8.2); for w > 1 its connection formula
+splits off the term that diverges as w -> inf when alpha > 1.  That split
+is what makes the diagonal, where the product form is 0*inf, and the
+near-diagonal values exact without special-casing.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import hyp2f1, roots_jacobi
 
 __all__ = [
     "KernelParams",
     "PVConfig",
-    "gamma_fn",
     "norm_const",
     "green_const",
     "poisson_const",
@@ -50,21 +52,16 @@ SOLVER_ALPHA_MAX = 1.95
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Dimension d and operator order alpha in (0, 2)."""
+    """Operator order alpha in (0, 2)."""
 
-    d: int = 1
     alpha: float = 1.5
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be a positive integer, got {self.d}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
 
     def require_solver_window(self):
-        """The solve path needs d = 1 and alpha in [1.05, 1.95]."""
-        if self.d != 1:
-            raise ValueError(f"solver supports d = 1 only, got d = {self.d}")
+        """The solve path needs alpha in [1.05, 1.95]."""
         if not SOLVER_ALPHA_MIN <= self.alpha <= SOLVER_ALPHA_MAX:
             raise ValueError(
                 f"solver supports alpha in [{SOLVER_ALPHA_MIN}, "
@@ -74,7 +71,7 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class PVConfig:
-    """Cutoff and interpolant settings for the principal-value evaluator.
+    """Cutoff setting for the principal-value evaluator.
 
     epsilon = None resolves to one quarter of the minimum node spacing of
     the grid at hand; an explicit value must stay below half the minimum
@@ -82,13 +79,10 @@ class PVConfig:
     """
 
     epsilon: float | None = None
-    interp_order: int = 3
 
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.interp_order != 3:
-            raise ValueError("only the cubic interpolant is supported")
 
     def resolve_epsilon(self, min_spacing: float) -> float:
         if self.epsilon is None:
@@ -101,235 +95,88 @@ class PVConfig:
         return self.epsilon
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is a few
-# parts in 1e-14 on the positive axis, which is plenty for every constant
-# in this module.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos series, reflection for x < 0.5."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at nonpositive integer {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def norm_const(d: int, gamma: float) -> float:
     """c_{d,gamma} = Gamma((d-gamma)/2) / (2^gamma pi^(d/2) |Gamma(gamma/2)|).
 
-    With gamma = -alpha this is the constant in front of the
+    With d = 1 and gamma = -alpha this is the constant in front of the
     principal-value definition of (-Delta)^(alpha/2).
     """
-    num = gamma_fn((d - gamma) / 2.0)
-    den = 2.0**gamma * math.pi ** (d / 2.0) * abs(gamma_fn(gamma / 2.0))
+    num = math.gamma((d - gamma) / 2.0)
+    den = 2.0**gamma * math.pi ** (d / 2.0) * abs(math.gamma(gamma / 2.0))
     return num / den
 
 
 def green_const(kp: KernelParams) -> float:
-    """Prefactor c_alpha^d = Gamma(d/2) / (2^alpha pi^(d/2) Gamma(alpha/2)^2)."""
-    return gamma_fn(kp.d / 2.0) / (
-        2.0**kp.alpha * math.pi ** (kp.d / 2.0) * gamma_fn(kp.alpha / 2.0) ** 2
-    )
+    """Prefactor c_alpha = 1 / (2^alpha Gamma(alpha/2)^2)."""
+    return 1.0 / (2.0**kp.alpha * math.gamma(kp.alpha / 2.0) ** 2)
 
 
 def poisson_const(kp: KernelParams) -> float:
-    """Prefactor C_alpha^d = Gamma(d/2) pi^(-d/2-1) sin(pi alpha / 2)."""
-    return (
-        gamma_fn(kp.d / 2.0)
-        * math.pi ** (-kp.d / 2.0 - 1.0)
-        * math.sin(math.pi * kp.alpha / 2.0)
-    )
+    """Prefactor C_alpha = sin(pi alpha / 2) / pi."""
+    return math.sin(math.pi * kp.alpha / 2.0) / math.pi
 
 
-def _abs2(pt, d):
-    if d == 1:
-        return np.asarray(pt, dtype=float) ** 2
-    pt = np.asarray(pt, dtype=float)
-    if pt.shape != (d,):
-        raise ValueError(f"expected a point of dimension {d}, got shape {pt.shape}")
-    return float(pt @ pt)
+def w_factor(x, y):
+    """w(x,y) = (1-x^2)(1-y^2)/(x-y)^2, +inf on the diagonal, vectorized.
 
-
-def w_factor(x, y, d: int = 1):
-    """w(x,y) = (1-|x|^2)(1-|y|^2)/|x-y|^2, +inf on the diagonal.
-
-    Symmetric in its arguments and zero whenever either point sits on the
-    unit sphere.  Vectorized for d = 1.
+    Symmetric in its arguments and zero whenever either point sits at +-1.
     """
-    if d == 1:
-        x, y = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
-        num = (1.0 - x * x) * (1.0 - y * y)
-        den = (x - y) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(den == 0.0, np.inf, num / den)
-        return w if w.shape else float(w)
-    x2, y2 = _abs2(x, d), _abs2(y, d)
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    den = float(diff @ diff)
-    if den == 0.0:
-        return np.inf
-    return (1.0 - x2) * (1.0 - y2) / den
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    num = (1.0 - x * x) * (1.0 - y * y)
+    den = (x - y) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(den == 0.0, np.inf, num / den)
+    return w if w.shape else float(w)
 
 
-# ---------------------------------------------------------------------------
-# inner integral I(w) = int_0^w r^(alpha/2-1)(1+r)^(-d/2) dr
-#
-# Head part on [0, min(w,1)]: substitute r = t^2, which turns the endpoint
-# weight r^(a-1) into t^(2a-1); a short binomial series handles [0, T/2^L]
-# and dyadic Gauss-Legendre panels the rest.  Tail part on [1, w]:
-# substitute r = 1/s, split off int s^(d/2-a-1) ds in closed form (this
-# carries the w -> inf divergence when d = 1 < alpha) and evaluate the
-# remainder, which converges at s = 0, the same way.
-# ---------------------------------------------------------------------------
+def _connection(w, s):
+    """B(s, 1/2-s) and 2F1(1/2, 1/2-s; 3/2-s; -1/w) for w >= 1, s != 1/2.
 
-_HEAD_LEVELS = 10
-_SERIES_TERMS = 12
+    The two pieces of the connection formula
+    I(w) = B + w^(s-1/2)/(s-1/2) * 2F1(1/2, 1/2-s; 3/2-s; -1/w).
+    """
+    beta = math.gamma(s) * math.gamma(0.5 - s) / math.sqrt(math.pi)
+    return beta, hyp2f1(0.5, 0.5 - s, 1.5 - s, -1.0 / w)
 
 
-def _binom_coeffs(expo, terms):
-    c = np.empty(terms + 1)
-    c[0] = 1.0
-    for k in range(1, terms + 1):
-        c[k] = c[k - 1] * (expo - (k - 1)) / k
-    return c
-
-
-def _head_part(wc, a, d, levels=_HEAD_LEVELS):
-    """int_0^wc r^(a-1)(1+r)^(-d/2) dr for 0 <= wc <= 1, vectorized."""
-    T = np.sqrt(wc)
-    t_series = T * 0.5**levels
-    coeffs = _binom_coeffs(-d / 2.0, _SERIES_TERMS)
-    out = np.zeros_like(wc)
-    for k, ck in enumerate(coeffs):
-        out += 2.0 * ck * t_series ** (2.0 * a + 2.0 * k) / (2.0 * a + 2.0 * k)
-    hi = T.copy()
-    for _ in range(levels):
-        lo = 0.5 * hi
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        t = mid[..., None] + half[..., None] * _GL_NODES
-        vals = t ** (2.0 * a - 1.0) * (1.0 + t * t) ** (-d / 2.0)
-        out += 2.0 * (half[..., None] * _GL_WEIGHTS * vals).sum(axis=-1)
-        hi = lo
-    return out
-
-
-def _tail_remainder(slo, a, d, s_series=0.01):
-    """int_{slo}^1 s^(d/2-a-1) [(1+s)^(-d/2) - 1] ds for slo in [0, 1]."""
-    mu = d / 2.0 - a - 1.0
-    slo = np.asarray(slo, dtype=float)
-    out = np.empty_like(slo)
-    coeffs = _binom_coeffs(-d / 2.0, _SERIES_TERMS)
-
-    small = slo < s_series
-    if small.any():
-        ser = np.zeros(int(small.sum()))
-        lo = slo[small]
-        for k in range(1, _SERIES_TERMS + 1):
-            q = mu + k + 1.0
-            ser += coeffs[k] * (s_series**q - lo**q) / q
-        fixed = 0.0
-        edges = np.geomspace(s_series, 1.0, 10)
-        for plo, phi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (phi + plo), 0.5 * (phi - plo)
-            s = mid + half * _GL_NODES
-            fixed += float(
-                (half * _GL_WEIGHTS * (s**mu * ((1.0 + s) ** (-d / 2.0) - 1.0))).sum()
-            )
-        out[small] = ser + fixed
-
-    big = ~small
-    if big.any():
-        sl = slo[big]
-        acc = np.zeros_like(sl)
-        nedge = 10
-        frac = np.linspace(0.0, 1.0, nedge)[None, :]
-        edges = sl[:, None] ** (1.0 - frac)  # geometric from sl to 1
-        for j in range(nedge - 1):
-            plo, phi = edges[:, j], edges[:, j + 1]
-            mid, half = 0.5 * (phi + plo), 0.5 * (phi - plo)
-            s = mid[:, None] + half[:, None] * _GL_NODES
-            acc += (
-                half[:, None]
-                * _GL_WEIGHTS
-                * (s**mu * ((1.0 + s) ** (-d / 2.0) - 1.0))
-            ).sum(axis=-1)
-        out[big] = acc
-    return out
-
-
-def inner_integral(w, kp: KernelParams, head_levels: int = _HEAD_LEVELS):
+def inner_integral(w, kp: KernelParams):
     """I(w) for w in [0, inf], vectorized.
 
-    head_levels controls the dyadic panel depth of the head part; the
-    default is converged to machine precision (doubling it is a no-op,
-    which the test suite checks).
+    For w <= 1, I = (w^s/s) 2F1(1/2, s; s+1; -w).  For w > 1 the connection
+    formula I = B(s, 1/2-s) + w^(s-1/2)/(s-1/2) 2F1(1/2, 1/2-s; 3/2-s; -1/w),
+    except at alpha = 1 exactly, where B has a pole and I = 2 asinh(sqrt(w)).
+    Within about 1e-3 of alpha = 1 the two terms nearly cancel and about
+    three digits are lost.
     """
     w = np.asarray(w, dtype=float)
-    a = kp.alpha / 2.0
-    d = kp.d
-    out = np.zeros_like(w)
-
+    s = kp.alpha / 2.0
+    out = np.empty_like(w)
     small = w <= 1.0
-    if small.any():
-        out[small] = _head_part(w[small], a, d, levels=head_levels)
-
+    out[small] = w[small] ** s / s * hyp2f1(0.5, s, s + 1.0, -w[small])
     big = ~small
     if big.any():
-        wb = w[big]
-        with np.errstate(divide="ignore"):
-            slo = np.where(np.isinf(wb), 0.0, 1.0 / wb)
-        head1 = _head_part(np.ones(1), a, d, levels=head_levels)[0]
-        q = (d - kp.alpha) / 2.0  # exponent of the closed-form tail piece
-        if abs(q) < 1e-13:
-            exact = np.where(np.isinf(wb), np.inf, np.log(wb))
+        if kp.alpha == 1.0:
+            out[big] = 2.0 * np.arcsinh(np.sqrt(w[big]))
         else:
-            with np.errstate(divide="ignore"):
-                sq = np.where(slo == 0.0, np.inf if q < 0 else 0.0, slo**q)
-            exact = (1.0 - sq) / q
-        out[big] = head1 + exact + _tail_remainder(slo, a, d)
+            beta, far = _connection(w[big], s)
+            out[big] = beta + w[big] ** (s - 0.5) / (s - 0.5) * far
     return out if out.shape else float(out)
 
 
 def green_ball(x, y, kp: KernelParams):
-    """Green function of the unit ball, zero outside, vectorized for d = 1.
+    """Green function of (-1, 1), zero outside, vectorized.
 
-    For d = 1 and alpha > 1 the value is finite on the diagonal; whenever
-    w(x,y) >= 1 the evaluation switches to the exact split
+    For alpha > 1 the value is finite on the diagonal; whenever w(x,y) > 1
+    the evaluation multiplies the connection formula for I through by
+    |x-y|^(alpha-1), using |x-y|^(alpha-1) w^(s-1/2) = ((1-x^2)(1-y^2))^(s-1/2):
 
-        G = c * [ 2/(alpha-1) ((1-x^2)(1-y^2))^((alpha-1)/2)
-                  + |x-y|^(alpha-1) * Jhat(w) ]
+        G = c * [ 2/(alpha-1) ((1-x^2)(1-y^2))^((alpha-1)/2) 2F1(...; -1/w)
+                  + |x-y|^(alpha-1) B(s, 1/2-s) ],
 
-    with Jhat bounded, so no cancellation or special-casing is needed as
-    |x-y| -> 0.
+    which stays finite as |x-y| -> 0 and equals the diagonal value there.
     """
-    if kp.d != 1:
-        return _green_ball_point(x, y, kp)
-
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     alpha = kp.alpha
-    a = alpha / 2.0
     c = green_const(kp)
     out = np.zeros(x.shape)
     inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
@@ -348,40 +195,23 @@ def green_ball(x, y, kp: KernelParams):
                 )
         split = ~direct
         if split.any():
-            head1 = _head_part(np.ones(1), a, 1)[0]
-            slo = np.where(np.isinf(w[split]), 0.0, 1.0 / w[split])
-            jhat = head1 - 2.0 / (alpha - 1.0) + _tail_remainder(slo, a, 1)
+            beta, far = _connection(w[split], alpha / 2.0)
             prod = ((1.0 - xi[split] ** 2) * (1.0 - yi[split] ** 2)) ** (
                 (alpha - 1.0) / 2.0
             )
             vals[split] = c * (
-                2.0 / (alpha - 1.0) * prod + r[split] ** (alpha - 1.0) * jhat
+                2.0 / (alpha - 1.0) * prod * far + r[split] ** (alpha - 1.0) * beta
             )
         out[inside] = vals
     return out if out.shape else float(out)
 
 
-def _green_ball_point(x, y, kp):
-    # single-point evaluation for d >= 2 (spot-test support)
-    x2, y2 = _abs2(x, kp.d), _abs2(y, kp.d)
-    if x2 >= 1.0 or y2 >= 1.0:
-        return 0.0
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    dist = math.sqrt(float(diff @ diff))
-    if dist == 0.0:
-        return np.inf  # diagonal diverges for d >= 2 > alpha
-    w = (1.0 - x2) * (1.0 - y2) / dist**2
-    return green_const(kp) * dist ** (kp.alpha - kp.d) * float(inner_integral(w, kp))
-
-
 def green_interval(x, y, center: float, radius: float, kp: KernelParams):
-    """Green function of the interval (center-radius, center+radius), d = 1.
+    """Green function of the interval (center-radius, center+radius).
 
     Scaling of the operator gives G_W(x,y) = radius^(alpha-1) *
     G_ball((x-c)/radius, (y-c)/radius).
     """
-    if kp.d != 1:
-        raise ValueError("green_interval is one-dimensional")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     xs = (np.asarray(x, dtype=float) - center) / radius
@@ -390,15 +220,13 @@ def green_interval(x, y, center: float, radius: float, kp: KernelParams):
 
 
 def distance_product_bound(x, y, kp: KernelParams):
-    """Boundary-distance comparator for the interval Green function, d = 1.
+    """Boundary-distance comparator for the interval Green function.
 
     min(d(x)^(a/2) d(y)^(a/2) / |x-y|, d(x)^((a-1)/2) d(y)^((a-1)/2)) with
     d(x) = 1-|x|.  The Green function is sandwiched between constant
     multiples of this expression for alpha in (1,2); only the ratio being
     bounded on both sides matters, the constants carry no meaning.
     """
-    if kp.d != 1:
-        raise ValueError("distance_product_bound is one-dimensional")
     if not kp.alpha > 1.0:
         raise ValueError("the comparator needs alpha > 1")
     x = np.asarray(x, dtype=float)
@@ -413,52 +241,35 @@ def distance_product_bound(x, y, kp: KernelParams):
 
 
 def poisson_ball(x, y, r: float, kp: KernelParams):
-    """Poisson kernel of the ball of radius r: needs |x| < r < |y|.
+    """Poisson kernel of the interval (-r, r): needs |x| < r < |y|.
 
-    P(x,y) = C_alpha^d (r^2-|x|^2)^(alpha/2) / ((|y|^2-r^2)^(alpha/2) |x-y|^d).
+    P(x,y) = C_alpha (r^2-x^2)^(alpha/2) / ((y^2-r^2)^(alpha/2) |x-y|).
     """
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    if kp.d == 1:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(np.abs(x) >= r):
-            raise ValueError("base point must satisfy |x| < r")
-        if np.any(np.abs(y) <= r):
-            raise ValueError("exterior point must satisfy |y| > r")
-        x, y = np.broadcast_arrays(x, y)
-        val = (
-            poisson_const(kp)
-            * (r * r - x * x) ** (kp.alpha / 2.0)
-            / ((y * y - r * r) ** (kp.alpha / 2.0) * np.abs(x - y))
-        )
-        return val if val.shape else float(val)
-    x2, y2 = _abs2(x, kp.d), _abs2(y, kp.d)
-    if x2 >= r * r:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(np.abs(x) >= r):
         raise ValueError("base point must satisfy |x| < r")
-    if y2 <= r * r:
+    if np.any(np.abs(y) <= r):
         raise ValueError("exterior point must satisfy |y| > r")
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    dist = math.sqrt(float(diff @ diff))
-    return (
+    x, y = np.broadcast_arrays(x, y)
+    val = (
         poisson_const(kp)
-        * (r * r - x2) ** (kp.alpha / 2.0)
-        / ((y2 - r * r) ** (kp.alpha / 2.0) * dist**kp.d)
+        * (r * r - x * x) ** (kp.alpha / 2.0)
+        / ((y * y - r * r) ** (kp.alpha / 2.0) * np.abs(x - y))
     )
+    return val if val.shape else float(val)
 
 
 def poisson_total_mass(x: float, r: float, kp: KernelParams) -> float:
-    """int_{|y| > r} P(x, y) dy for d = 1; equals 1 for any |x| < r.
+    """int_{|y| > r} P(x, y) dy; equals 1 for any |x| < r.
 
     The integrand has an algebraic singularity (y-r)^(-alpha/2) at the
     sphere and decays like y^(-1-alpha); each tail is split at 2r and both
     pieces use Gauss-Jacobi rules whose weight absorbs the singular factor
     exactly, so the rules see only analytic functions.
     """
-    from scipy.special import roots_jacobi
-
-    if kp.d != 1:
-        raise ValueError("normalization integral implemented for d = 1")
     if abs(x) >= r:
         raise ValueError("base point must satisfy |x| < r")
 
@@ -499,8 +310,6 @@ def frac_laplacian_pv(u, x: float, kp: KernelParams, cfg: PVConfig | None = None
     """
     from scipy.interpolate import CubicSpline
 
-    if kp.d != 1:
-        raise ValueError("principal-value evaluator is one-dimensional")
     if cfg is None:
         cfg = PVConfig()
     alpha = kp.alpha

@@ -473,6 +473,8 @@ def fold_sweep(
             hi = min(above)
             while (hi - lo) / hi > rel_width:
                 mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):  # rel_width below the float spacing
+                    break
                 if count_at(mid)[0] == 2:
                     lo = mid
                 else:

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from bifrac import solver
 from bifrac.cli import main
 from bifrac.greenop import GridFunction, make_grid
+from bifrac.scalar import critical_constant
 
 
 def run(tmp_path, *argv):
@@ -53,6 +55,32 @@ class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rel-width", "0"],
+            ["sweep", "--rel-width", "-1"],
+            ["sweep", "--rel-width", "nan"],
+            ["sweep", "--lambda-hi", "inf"],
+            ["solve", "--solve-tol", "nan"],
+            ["lemmas", "--tol", "all=nan"],
+        ],
+        ids=["rel-width-0", "rel-width-neg", "rel-width-nan", "lambda-hi-inf",
+             "solve-tol-nan", "tol-nan"],
+    )
+    def test_usage_error_bad_number(self, tmp_path, capsys, argv):
+        # such numbers would hang the fold bisection or run on to a wrong report
+        assert run(tmp_path, *argv) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_usage_error_non_chebyshev_csv(self, tmp_path, capsys):
+        # the cached operator assumes make_grid(n) nodes; uniform nodes would
+        # silently get the Chebyshev matrix
+        rows = "".join(f"{x!r},{0.05 * (1 - x * x)!r}\n" for x in np.linspace(-1, 1, 65).tolist())
+        (tmp_path / "h.csv").write_text("x,value\n" + rows)
+        assert run(tmp_path, "certify", "--h-csv", str(tmp_path / "h.csv")) == 2
+        assert "make_grid(65)" in capsys.readouterr().err
+
 
 class TestKernel:
     def test_green_golden_row(self, tmp_path):
@@ -60,7 +88,7 @@ class TestKernel:
                    "--poisson", "0,1.5,1") == 0
         lines = (tmp_path / "kernel.csv").read_text().splitlines()
         assert lines[0] == "kind,x,y,r,value"
-        assert lines[1] == "green,0,0.5,,0.3564668593516967"
+        assert lines[1] == "green,0,0.5,,0.35646685935169681"
         assert lines[2] == "w,0,0.5,,3"
         assert lines[3].startswith("poisson,0,1.5,1,0.1269291467614924")
 
@@ -129,6 +157,18 @@ class TestSweep:
         lines = (tmp_path / "branches.csv").read_text().splitlines()
         assert lines[0] == "lambda,n_found,sup_minimal,sup_second"
         assert len(lines) == 8
+
+    def test_rel_width_below_float_spacing_returns(self, tmp_path, monkeypatch):
+        # bisection stops once the midpoint equals an endpoint.  The branch
+        # count is replaced by the scalar model's closed-form criterion: the
+        # real solves each take about a second that close to the fold.
+        def count(M, u0vec, p, b):
+            return (2 if b * u0vec.max() ** (p - 1) < critical_constant(p) else 1), 0.0, 0.0
+
+        monkeypatch.setattr(solver, "_solve_pair", count)
+        assert run(tmp_path, "sweep", "--scalar", "--rel-width", "1e-300") == 0
+        rep = read_json(tmp_path, "fold.json")
+        assert rep["fold_estimate"] == pytest.approx(rep["lambda_cert"], rel=1e-15)
 
     def test_unbracketed_is_negative_result(self, tmp_path):
         assert run(tmp_path, "sweep", "--scalar", "--lambda-lo", "0.25",
