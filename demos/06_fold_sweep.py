@@ -1,9 +1,11 @@
 """Scaling the forcing until the two branches merge and vanish.
 
 u = G(u^p) + lambda G(h).  Small lambda: two solutions.  Large lambda:
-none.  The sweep counts branches on a grid, then bisects the transition.
-In scalar mode the fold has a closed form, which makes a good self-test
-before trusting the full run.
+none.  The sweep counts branches on a grid, then locates the fold inside
+the last two-branch bracket by one Newton solve of the Moore-Spence
+system (solution, null vector and lambda together).  In scalar mode the
+fold has a closed form, which makes a good self-test before trusting the
+full run.
 """
 
 from bifrac import (

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cone import ConeSpec, check_membership, sample_cone, verify_invariance
-from .greenop import Grid, GridFunction, apply_green, gamma_U, make_grid, operator_norm_b
+from .greenop import (
+    GridFunction,
+    apply_green,
+    gamma_U,
+    make_grid,
+    operator_norm_b,
+    require_chebyshev,
+)
 from .kernels import (
     SOLVER_ALPHA_MAX,
     SOLVER_ALPHA_MIN,
@@ -80,7 +87,6 @@ class RunConfig:
     lambda_hi: float = 4.0
     steps: int = 9
     scalar: bool = False
-    rel_width: float | None = None
     output_dir: str | None = None
     tolerances: dict = field(default_factory=dict)
 
@@ -102,10 +108,8 @@ class RunConfig:
         for name in ("lambda_lo", "lambda_hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("solve_tol", "rel_width"):
-            val = getattr(self, name)
-            if val is not None and not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be finite and positive, got {val}")
+        if not (math.isfinite(self.solve_tol) and self.solve_tol > 0):
+            raise ValueError(f"solve_tol must be finite and positive, got {self.solve_tol}")
         for item, val in self.tolerances.items():
             if not (math.isfinite(val) and val >= 0):
                 raise ValueError(f"tolerance {item} must be finite and >= 0, got {val}")
@@ -128,7 +132,7 @@ _FIELD_PARSERS = {
     "alpha": float, "p": float, "grid_n": int, "a_half": float,
     "h_profile": str, "h_csv": str, "seed": int, "samples": int,
     "solve_tol": float, "lambda_lo": float, "lambda_hi": float, "steps": int,
-    "rel_width": float, "output_dir": str,
+    "output_dir": str,
 }
 
 
@@ -226,11 +230,7 @@ def build_forcing(cfg: RunConfig, kp: KernelParams) -> GridFunction:
     """The forcing h from the configured profile or CSV file."""
     if cfg.h_csv is not None:
         h = GridFunction.read_csv(cfg.h_csv)
-        # the operator is cached by grid size and built on Chebyshev nodes,
-        # so any other node set of the same size would get the wrong matrix
-        grid = make_grid(h.grid.n)
-        if np.abs(h.grid.nodes - grid.nodes).max() > 1e-15:
-            raise ValueError(f"CSV nodes must be the Chebyshev nodes of make_grid({grid.n})")
+        require_chebyshev(h.grid)
         return h
     grid = make_grid(cfg.grid_n)
     profile = GridFunction.from_callable(grid, lambda x: PROFILES[cfg.h_profile](x, kp.alpha))
@@ -452,7 +452,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         cfg.lambda_hi,
         cfg.steps,
         scalar_model=cfg.scalar,
-        rel_width=cfg.rel_width,
     )
     outdir = _resolve_outdir(cfg)
     with open(os.path.join(outdir, "branches.csv"), "w", newline="") as fh:
@@ -466,6 +465,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         os.path.join(outdir, "fold.json"),
         {
             "fold_estimate": result.fold_estimate,
+            "fold_status": result.fold_status,
             "lambda_cert": result.lambda_cert,
             "bracketed": result.bracketed,
             "scalar_model": cfg.scalar,
@@ -530,7 +530,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--lambda-hi", type=float, dest="lambda_hi", help="upper end of the sweep")
     pw.add_argument("--steps", type=int, help="coarse sweep points")
     pw.add_argument("--scalar", action="store_const", const=True, help="sweep the scalar model instead")
-    pw.add_argument("--rel-width", type=float, dest="rel_width", help="bisection stop width (relative)")
     pw.set_defaults(func=cmd_sweep)
 
     return parser

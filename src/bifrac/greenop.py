@@ -27,6 +27,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "make_grid",
+    "require_chebyshev",
     "GreenOperator",
     "get_operator",
     "apply_green",
@@ -77,13 +78,20 @@ class Grid:
         return make_grid(2 * self.n - 1)
 
 
+_GRIDS: dict = {}
+
+
 def make_grid(n: int) -> Grid:
     """Chebyshev-extrema grid with n nodes, n odd and >= 33.
 
     Uses the sine form x_k = sin(pi (2k-(n-1)) / (2(n-1))), which is
     exactly antisymmetric in k so the grid is symmetric to the last bit
-    and contains 0.
+    and contains 0.  Grids are immutable, so each size is built once and
+    the same object is returned on every call.
     """
+    grid = _GRIDS.get(n)
+    if grid is not None:
+        return grid
     if n < MIN_GRID:
         raise ValueError(f"grid needs at least {MIN_GRID} nodes, got {n}")
     if n % 2 == 0:
@@ -92,7 +100,18 @@ def make_grid(n: int) -> Grid:
     nodes = np.sin(np.pi * (2 * k - (n - 1)) / (2 * (n - 1)))
     nodes[0] = -1.0
     nodes[-1] = 1.0
-    return Grid(nodes)
+    return _GRIDS.setdefault(n, Grid(nodes))
+
+
+def require_chebyshev(grid: Grid) -> None:
+    """Raise ValueError unless grid holds the nodes of make_grid(grid.n).
+
+    The Green operator is built on Chebyshev nodes and cached by size, so
+    any other node set of that size would silently get the wrong matrix.
+    """
+    ref = make_grid(grid.n)
+    if grid is not ref and np.abs(grid.nodes - ref.nodes).max() > 1e-15:
+        raise ValueError(f"grid nodes must be the Chebyshev nodes of make_grid({grid.n})")
 
 
 @dataclass(eq=False)
@@ -238,7 +257,11 @@ _CACHE_LOCK = threading.Lock()
 
 
 def get_operator(grid: Grid, kp: KernelParams) -> GreenOperator:
-    """Cached operator per (grid size, order); construction is deterministic."""
+    """Cached operator per (grid size, order); construction is deterministic.
+
+    The grid must be make_grid(n) or carry its nodes (ValueError otherwise).
+    """
+    require_chebyshev(grid)
     key = (grid.n, kp.alpha)
     op = _CACHE.get(key)
     if op is None:

@@ -111,8 +111,8 @@ def scalar_roots(prob: ScalarProblem) -> list[float]:
 
     g(u) = b*u^p + u0 - u is convex on u >= 0 with a unique minimizer
     u_t = (1/(p*b))^(1/(p-1)), so there are at most two sign changes:
-    one in [0, u_t], one in [u_t, inf).  Each is isolated by bracketed
-    bisection and polished with a few Newton steps.
+    one in [0, u_t], one in [u_t, inf).  Each is found by Brent's method
+    on its bracket and polished with a few Newton steps.
     """
     b, u0, p = prob.b, prob.u0, prob.p
     g = lambda u: b * u**p + u0 - u

@@ -5,8 +5,11 @@ it exists whenever the scalar certificate passes, and the iteration is
 increasing so any escape past the certified radius means divergence.
 The second branch is found by Newton's method deflated away from the
 minimal solution, started at the amplitude the scalar model predicts
-for the larger root.  `fold_sweep` scales the forcing by lambda and
-bisects for the amplitude where the second branch disappears.
+for the larger root.  `fold_sweep` scales the forcing by lambda, counts
+branches on a coarse lambda grid, and locates the fold where the two
+branches merge by one Newton solve of the Moore-Spence extended system
+(Moore & Spence, SIAM J. Numer. Anal. 17, 1980), warm-started from the
+last two-branch point of the scan.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ def _picard(M, u0vec, p, tol, max_iter, guard):
     return u, max_iter, "max_iter"
 
 
-def _newton_deflated(M, u0vec, p, known, start, tol, max_iter):
+def _newton(M, u0vec, p, start, tol, max_iter, known=None):
+    """Newton for u = M u^p + u0vec, deflated off `known` when one is given."""
     n = u0vec.size
     eye = np.eye(n)
     u = start.copy()
@@ -182,15 +186,16 @@ def _newton_deflated(M, u0vec, p, known, start, tol, max_iter):
             d = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return u, it, "singular", np.inf
-        diff = u - known
-        nrm2 = float(diff @ diff)
-        if nrm2 > 0.0:
-            # deflation by eta = 1 + 1/|u - known|^2: the rank-one update of
-            # the Jacobian reduces to scaling the plain step (Sherman-Morrison)
-            eta = 1.0 + 1.0 / nrm2
-            tau = float(-2.0 * (diff @ d) / nrm2**2)
-            if abs(eta - tau) > 1e-300:
-                d = d * (eta / (eta - tau))
+        if known is not None:
+            diff = u - known
+            nrm2 = float(diff @ diff)
+            if nrm2 > 0.0:
+                # deflation by eta = 1 + 1/|u - known|^2: the rank-one update of
+                # the Jacobian reduces to scaling the plain step (Sherman-Morrison)
+                eta = 1.0 + 1.0 / nrm2
+                tau = float(-2.0 * (diff @ d) / nrm2**2)
+                if abs(eta - tau) > 1e-300:
+                    d = d * (eta / (eta - tau))
         # keep the iterate from overflowing the power evaluation
         cap = 50.0 * max(1.0, float(np.abs(u).max()))
         dmax = float(np.abs(d).max())
@@ -299,8 +304,8 @@ def newton_second(
     last = None
     for scale in scales:
         start = profile * (scale / psup)
-        vals, iters, status, fp = _newton_deflated(
-            op.matrix, u0vec, p, known_u.values, start, tol, max_iter
+        vals, iters, status, fp = _newton(
+            op.matrix, u0vec, p, start, tol, max_iter, known=known_u.values
         )
         u = h.with_values(vals)
         membership = check_membership(u, spec)
@@ -394,30 +399,80 @@ class SweepResult:
     points: list
     fold_estimate: float
     lambda_cert: float
+    fold_status: str  # "converged", "not_bracketed" or "newton_failed"
 
     @property
     def bracketed(self) -> bool:
         return np.isfinite(self.fold_estimate)
 
 
-def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=200_000, newton_max=100):
-    """(count, sup_minimal, sup_second) for u = M u^p + u0vec."""
+def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
+    """(count, minimal, second) for u = M u^p + u0vec; absent branches are None.
+
+    Picard from zero is capped: near the fold it would need up to 1e5
+    steps.  Its last iterate is a subsolution below the minimal branch,
+    from which plain Newton on this convex map climbs monotonically to it.
+    """
     u0_sup = float(np.abs(u0vec).max())
     u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
     umin, _, st = _picard(M, u0vec, p, tol=tol, max_iter=picard_max, guard=4.0 * u_t)
+    if st == "max_iter":
+        umin, _, st, _ = _newton(M, u0vec, p, umin, tol=1e-12, max_iter=newton_max)
     if st != "converged":
-        return 0, np.nan, np.nan
+        return 0, None, None
     smin = float(np.abs(umin).max())
     if smin <= 0.0:
-        return 1, 0.0, np.nan
+        return 1, umin, None
     sigma2 = _scalar_second_root(b, u0_sup, p)
     scale = sigma2 if sigma2 is not None else 2.0 * u_t
     start = umin * (scale / smin)
-    usec, _, st2, _ = _newton_deflated(M, u0vec, p, umin, start, tol=1e-12, max_iter=newton_max)
+    usec, _, st2, _ = _newton(M, u0vec, p, start, tol=1e-12, max_iter=newton_max, known=umin)
     distinct = float(np.abs(usec - umin).max()) >= 1e-7
     if st2 != "converged" or not distinct or (usec < -1e-10).any():
-        return 1, smin, np.nan
-    return 2, smin, float(np.abs(usec).max())
+        return 1, umin, None
+    return 2, umin, usec
+
+
+def _fold_newton(M, base, p, u, v, lam, tol=1e-12, max_iter=30):
+    """Moore-Spence Newton for the fold of u = M u^p + lam * base.
+
+    Unknowns u, v and lam; equations u - M u^p - lam base = 0,
+    (I - M diag(p u^(p-1))) v = 0 and v[c] = 1 with c = argmax |v| of the
+    start.  A quadratic fold is a regular solution of this system, so
+    Newton converges quadratically from a start near it.  u must be
+    positive: callers drop the zero endpoint values, where the second
+    derivative p (p-1) u^(p-2) is infinite for p < 2.  Returns lam, or
+    None when the iteration fails.
+    """
+    m = u.size
+    c = int(np.argmax(np.abs(v)))
+    v = v / v[c]
+    eye = np.eye(m)
+    A = np.zeros((2 * m + 1, 2 * m + 1))
+    A[:m, 2 * m] = -base
+    A[2 * m, m + c] = 1.0
+    for _ in range(max_iter):
+        J = eye - M * _dpow(u, p)[None, :]
+        F = np.concatenate([u - M @ _pow(u, p) - lam * base, J @ v, [v[c] - 1.0]])
+        A[:m, :m] = J
+        A[m:2 * m, m:2 * m] = J
+        with np.errstate(all="ignore"):  # a non-finite step is caught below
+            A[m:2 * m, :m] = -M * (p * (p - 1.0) * np.maximum(u, 0.0) ** (p - 2.0) * v)[None, :]
+            try:
+                d = np.linalg.solve(A, -F)
+            except np.linalg.LinAlgError:
+                return None
+        if not np.isfinite(d).all():
+            return None
+        u, v, lam = u + d[:m], v + d[m:2 * m], lam + d[2 * m]
+        step = max(
+            np.abs(d[:m]).max() / np.abs(u).max(),
+            np.abs(d[m:2 * m]).max() / np.abs(v).max(),
+            abs(d[2 * m]) / abs(lam),
+        )
+        if step <= tol:
+            return float(lam)
+    return None
 
 
 def fold_sweep(
@@ -428,23 +483,22 @@ def fold_sweep(
     lambda_hi: float,
     steps: int,
     scalar_model: bool = False,
-    rel_width: float | None = None,
 ) -> SweepResult:
-    """Scan u = G(u^p) + lambda G(h_base) for the loss of the second branch.
+    """Scan u = G(u^p) + lambda G(h_base) for the fold where two branches merge.
 
-    Counts branches on a coarse lambda grid, then bisects the largest
-    two-branch/one-branch bracket down to the requested relative width
-    (1e-4 by default, 1e-7 in scalar mode where each solve is a pair of
-    scalar root findings and the fold has a closed form to compare with).
-    fold_estimate is NaN when the scan never saw two branches or never
-    lost them.
+    Counts branches on a coarse lambda grid.  The last two-branch point
+    lam_lo and the next point lam_hi bracket the fold; from lam_lo the
+    fold is located by one Newton solve of the Moore-Spence system,
+    started at u = (u_minimal + u_second)/2 with null vector
+    u_second - u_minimal.  The scalar model is the same solve with n = 1.
+    fold_estimate is NaN, and fold_status says why, when the scan never
+    went from two branches to fewer ("not_bracketed"), or when Newton
+    failed or left (lam_lo, lam_hi] ("newton_failed").
     """
     if not (0.0 < lambda_lo < lambda_hi):
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got [{lambda_lo}, {lambda_hi}]")
     if steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {steps}")
-    if rel_width is None:
-        rel_width = 1e-7 if scalar_model else 1e-4
     b = operator_norm_b(kp, p)
     u0_base = apply_green(h_base, kp)
     u0_base_sup = u0_base.sup_norm
@@ -453,31 +507,33 @@ def fold_sweep(
     if scalar_model:
         M = np.array([[b]])
         base = np.array([u0_base_sup])
+        inner = slice(None)
     else:
         M = get_operator(h_base.grid, kp).matrix
         base = u0_base.values
+        inner = slice(1, -1)  # u vanishes at the endpoints
     lam_cert = (critical_constant(p) / b) ** (1.0 / (p - 1.0)) / u0_base_sup
 
-    count_at = lambda lam: _solve_pair(M, lam * base, p, b)
-    points = []
+    sup = lambda u: float(np.abs(u).max()) if u is not None else np.nan
+    points, pairs = [], []
     for lam in np.linspace(lambda_lo, lambda_hi, steps):
-        nf, s1, s2 = count_at(lam)
-        points.append(SweepPoint(lam=float(lam), n_found=nf, sup_minimal=s1, sup_second=s2))
+        nf, umin, usec = _solve_pair(M, lam * base, p, b)
+        points.append(SweepPoint(lam=float(lam), n_found=nf, sup_minimal=sup(umin), sup_second=sup(usec)))
+        pairs.append((umin, usec))
 
-    two = [pt.lam for pt in points if pt.n_found == 2]
-    fold = np.nan
-    if two:
-        lo = max(two)
-        above = [pt.lam for pt in points if pt.lam > lo and pt.n_found < 2]
-        if above:
-            hi = min(above)
-            while (hi - lo) / hi > rel_width:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):  # rel_width below the float spacing
-                    break
-                if count_at(mid)[0] == 2:
-                    lo = mid
-                else:
-                    hi = mid
-            fold = 0.5 * (lo + hi)
-    return SweepResult(points=points, fold_estimate=float(fold), lambda_cert=float(lam_cert))
+    fold, status = np.nan, "not_bracketed"
+    two = [i for i, pt in enumerate(points) if pt.n_found == 2]
+    if two and two[-1] + 1 < len(points):
+        lo, hi = points[two[-1]].lam, points[two[-1] + 1].lam
+        umin, usec = pairs[two[-1]]
+        lam = _fold_newton(
+            M[inner, inner], base[inner], p,
+            0.5 * (umin + usec)[inner], (usec - umin)[inner], lo,
+        )
+        if lam is not None and lo < lam <= hi:
+            fold, status = lam, "converged"
+        else:
+            status = "newton_failed"
+    return SweepResult(
+        points=points, fold_estimate=float(fold), lambda_cert=float(lam_cert), fold_status=status
+    )

@@ -131,7 +131,7 @@ def test_guarantee_8_fold_sufficiency(h_certified, kp):
         kp_a = cfg.kernel_params()
         h = build_forcing(cfg, kp_a)
         lam = (critical_constant(p) / operator_norm_b(kp_a, p)) ** (1.0 / (p - 1.0)) / apply_green(h, kp_a).sup_norm
-        sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9, rel_width=1e-3)
+        sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
         assert sw.bracketed, (alpha, p)
         assert sw.fold_estimate >= sw.lambda_cert, (alpha, p)
 

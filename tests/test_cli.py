@@ -7,7 +7,6 @@ import pytest
 from bifrac import solver
 from bifrac.cli import main
 from bifrac.greenop import GridFunction, make_grid
-from bifrac.scalar import critical_constant
 
 
 def run(tmp_path, *argv):
@@ -58,18 +57,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--rel-width", "0"],
-            ["sweep", "--rel-width", "-1"],
-            ["sweep", "--rel-width", "nan"],
             ["sweep", "--lambda-hi", "inf"],
             ["solve", "--solve-tol", "nan"],
             ["lemmas", "--tol", "all=nan"],
         ],
-        ids=["rel-width-0", "rel-width-neg", "rel-width-nan", "lambda-hi-inf",
-             "solve-tol-nan", "tol-nan"],
+        ids=["lambda-hi-inf", "solve-tol-nan", "tol-nan"],
     )
     def test_usage_error_bad_number(self, tmp_path, capsys, argv):
-        # such numbers would hang the fold bisection or run on to a wrong report
+        # such numbers would run on to a wrong report
         assert run(tmp_path, *argv) == 2
         assert "finite" in capsys.readouterr().err
 
@@ -152,29 +147,38 @@ class TestSweep:
                    "--lambda-hi", "3.5", "--steps", "7") == 0
         rep = read_json(tmp_path, "fold.json")
         assert rep["bracketed"] is True
-        assert rep["fold_estimate"] == pytest.approx(2.0, rel=1e-6)
+        assert rep["fold_status"] == "converged"
+        assert rep["fold_estimate"] == pytest.approx(2.0, rel=1e-12)
         assert rep["lambda_cert"] == pytest.approx(2.0, rel=1e-9)
         lines = (tmp_path / "branches.csv").read_text().splitlines()
         assert lines[0] == "lambda,n_found,sup_minimal,sup_second"
         assert len(lines) == 8
 
-    def test_rel_width_below_float_spacing_returns(self, tmp_path, monkeypatch):
-        # bisection stops once the midpoint equals an endpoint.  The branch
-        # count is replaced by the scalar model's closed-form criterion: the
-        # real solves each take about a second that close to the fold.
-        def count(M, u0vec, p, b):
-            return (2 if b * u0vec.max() ** (p - 1) < critical_constant(p) else 1), 0.0, 0.0
-
-        monkeypatch.setattr(solver, "_solve_pair", count)
-        assert run(tmp_path, "sweep", "--scalar", "--rel-width", "1e-300") == 0
+    def test_default_fold_reaches_picard_convergence(self, tmp_path):
+        # monotone Picard from zero still converges at 2.79678, so the fold
+        # of the default problem cannot lie below it
+        assert run(tmp_path, "sweep") == 0
         rep = read_json(tmp_path, "fold.json")
-        assert rep["fold_estimate"] == pytest.approx(rep["lambda_cert"], rel=1e-15)
+        assert rep["fold_status"] == "converged"
+        assert rep["fold_estimate"] >= 2.79678
+        assert "rel_width" not in rep["config"]
+
+    def test_newton_failure_is_negative_result(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_fold_newton", lambda *args: None)
+        assert run(tmp_path, "sweep", "--scalar") == 1
+        rep = read_json(tmp_path, "fold.json")
+        assert rep["fold_status"] == "newton_failed"
+        assert rep["bracketed"] is False and rep["fold_estimate"] is None
+
+    def test_rel_width_flag_is_gone(self, tmp_path):
+        assert run(tmp_path, "sweep", "--scalar", "--rel-width", "1e-3") == 2
 
     def test_unbracketed_is_negative_result(self, tmp_path):
         assert run(tmp_path, "sweep", "--scalar", "--lambda-lo", "0.25",
                    "--lambda-hi", "0.5", "--steps", "3") == 1
         rep = read_json(tmp_path, "fold.json")
         assert rep["bracketed"] is False
+        assert rep["fold_status"] == "not_bracketed"
         assert rep["fold_estimate"] is None  # NaN maps to null in the report
 
 

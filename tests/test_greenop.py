@@ -101,6 +101,16 @@ class TestOperator:
     def test_operator_cache_identity(self, grid65, kp):
         assert get_operator(grid65, kp) is get_operator(make_grid(65), kp)
 
+    def test_non_chebyshev_grid_rejected(self, grid65, kp):
+        # the operator is cached by size; uniform nodes of that size would
+        # get the Chebyshev matrix, 18 % off on 1 - x^2
+        uniform = Grid(np.linspace(-1.0, 1.0, 65))
+        with pytest.raises(ValueError, match=r"make_grid\(65\)"):
+            apply_green(GridFunction(uniform, 1 - uniform.nodes**2), kp)
+        # an equal copy of the Chebyshev nodes is accepted
+        copy = Grid(grid65.nodes.copy())
+        assert get_operator(copy, kp) is get_operator(grid65, kp)
+
     def test_positivity(self, grid65, kp):
         f = GridFunction(grid65, np.abs(np.sin(7 * grid65.nodes)))
         assert apply_green(f, kp).values.min() >= 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bifrac.cli import RunConfig, build_forcing
 from bifrac.cone import ConeSpec
 from bifrac.greenop import GridFunction, apply_green, get_operator, operator_norm_b
 from bifrac.kernels import KernelParams
@@ -143,12 +144,12 @@ class TestFoldSweep:
             exact = (critical_constant(p) / b) ** (1.0 / (p - 1.0)) / u0_sup
             sw = fold_sweep(h_certified, p, kp, 0.25 * exact, 2.0 * exact, 7,
                             scalar_model=True)
-            assert sw.bracketed
-            assert sw.fold_estimate == pytest.approx(exact, rel=1e-6)
+            assert sw.bracketed and sw.fold_status == "converged"
+            assert sw.fold_estimate == pytest.approx(exact, rel=1e-12)
             assert sw.lambda_cert == pytest.approx(exact, rel=1e-12)
 
     def test_bvp_fold_above_certificate(self, h_certified, kp):
-        sw = fold_sweep(h_certified, 2.0, kp, 2.0, 4.0, 5, rel_width=1e-3)
+        sw = fold_sweep(h_certified, 2.0, kp, 2.0, 4.0, 5)
         assert sw.bracketed
         assert sw.lambda_cert == pytest.approx(2.0, rel=1e-12)
         assert sw.fold_estimate >= sw.lambda_cert
@@ -161,9 +162,25 @@ class TestFoldSweep:
         assert len(found) >= 2
         assert all(a < b for a, b in zip(sups, sups[1:]))
 
+    @pytest.mark.parametrize("alpha, p", [(1.2, 2.0), (1.5, 2.0), (1.8, 3.0)])
+    def test_fold_brackets_picard_oracle(self, alpha, p):
+        # monotone Picard from zero converges below the fold and diverges
+        # above it; this oracle shares no code with the extended system
+        cfg = RunConfig(alpha=alpha, p=p)
+        kp_a = cfg.kernel_params()
+        h = build_forcing(cfg, kp_a)
+        lam = 2.0 ** (1.0 / (p - 1.0))  # lambda_cert of the auto amplitude
+        sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
+        assert sw.fold_status == "converged"
+        below = picard_minimal(scaled(h, sw.fold_estimate * (1 - 1e-5)), p, kp_a, max_iter=50_000)
+        above = picard_minimal(scaled(h, sw.fold_estimate * (1 + 1e-5)), p, kp_a, max_iter=50_000)
+        assert below.status == "converged"
+        assert above.status == "diverged"
+
     def test_unbracketed_fold_is_nan(self, h_certified, kp):
         sw = fold_sweep(h_certified, 2.0, kp, 0.1, 0.5, 3, scalar_model=True)
         assert not sw.bracketed
+        assert sw.fold_status == "not_bracketed"
         assert math.isnan(sw.fold_estimate)
 
     def test_input_validation(self, h_certified, grid65, kp):
