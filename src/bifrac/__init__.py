@@ -1,8 +1,8 @@
 """Two-solution machinery for u = G(u^p) + G(h) on the interval (-1,1).
 
 The pieces: closed-form kernels for the fractional Laplacian on the
-interval (`kernels`), a graded-quadrature discretization of the Green
-operator and its constants (`greenop`), the scalar model equation whose
+interval (`kernels`), a closed-form Jacobi-basis discretization of the
+Green operator and its constants (`greenop`), the scalar model equation whose
 roots certify solution counts (`scalar`), the shape cone the argument
 lives in (`cone`), the two branch solvers and the fold sweep (`solver`),
 and a CLI (`cli`, entry point `bifrac`).

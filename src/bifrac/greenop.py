@@ -1,27 +1,34 @@
 """Discrete Green operator on (-1,1) and the constants it induces.
 
 The operator u(x) = int G(x,y) f(y) dy is discretized by collocation at
-Chebyshev extrema: row i of the matrix holds the exact integrals (to
-quadrature tolerance) of G(x_i, .) against the polynomial cardinal basis
-of the grid, so applying the matrix to node values of f integrates the
-kernel against the interpolant of f.  The kernel's derivative blow-ups at
-y = x_i and y = +-1 are absorbed by dyadic panel grading.
+Chebyshev extrema: applying the matrix to node values of f gives G applied
+to the polynomial interpolant of f, at the nodes.  No quadrature is
+involved.  The weighted Jacobi polynomials are eigenfunctions of the
+operator (Dyda 2012; Acosta, Borthagaray, Bruno & Maas 2018):
+
+    (-Delta)^(alpha/2) [(1-x^2)^s P_k^(s,s)] = lambda_k P_k^(s,s),
+    s = alpha/2,  lambda_k = Gamma(alpha+k+1) / k!,
+
+so with V_jk = P_k^(s,s)(x_j) the matrix is
+diag((1-x^2)^s) V diag(1/lambda) V^-1.
 
 Also computes the three constants the existence argument runs on: the
-growth constant b = (G1)(0), the kernel ratio gamma_U, and the coercivity
-constant a = gamma_U^p int_U G(0,y) dy.
+growth constant b = (G1)(0) = 1/Gamma(1+alpha), the kernel ratio gamma_U,
+and the coercivity constant a = gamma_U^p int_U G(0,y) dy.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
-from .kernels import KernelParams, green_ball
+from .kernels import KernelParams, green_ball, green_const
 
 __all__ = [
     "Grid",
@@ -35,13 +42,6 @@ __all__ = [
     "gamma_U",
     "coercivity_a",
 ]
-
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-
-# Dyadic grading depths: enough levels that the untreated remainder near a
-# singular point is far below the 1e-9 operator tolerance.
-_DEPTH_TARGET = 45
-_DEPTH_BOUNDARY = 30
 
 MIN_GRID = 33
 
@@ -164,59 +164,18 @@ class GridFunction:
         return cls(Grid(np.asarray(xs)), np.asarray(vs))
 
 
-def _barycentric_weights(n: int) -> np.ndarray:
-    # closed form for Chebyshev extrema: alternating signs, halved at ends
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def _lagrange_matrix(nodes, bw, pts):
-    """Cardinal basis values L_j(pts): shape (len(pts), n)."""
-    pts = np.asarray(pts, dtype=float)
-    diff = pts[:, None] - nodes[None, :]
-    exact = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = bw[None, :] / diff
-        terms[exact] = 0.0
-        L = terms / terms.sum(axis=1)[:, None]
-    hit = exact.any(axis=1)
-    if hit.any():
-        L[hit] = exact[hit].astype(float)
-    return L
-
-
-def _graded_edges(target: float, lo=-1.0, hi=1.0):
-    """Panel edges on [lo,hi] refined dyadically toward target and both ends."""
-    edges = {lo, hi, target}
-    dl, dr = target - lo, hi - target
-    for k in range(1, _DEPTH_TARGET):
-        if dl * 0.5**k > 1e-16:
-            edges.add(target - dl * 0.5**k)
-        if dr * 0.5**k > 1e-16:
-            edges.add(target + dr * 0.5**k)
-    for k in range(1, _DEPTH_BOUNDARY):
-        if dl * 0.5**k > 1e-16:
-            edges.add(lo + dl * 0.5**k)
-        if dr * 0.5**k > 1e-16:
-            edges.add(hi - dr * 0.5**k)
-    return np.array(sorted(edges))
-
-
-def _panel_points(edges):
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    pts = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS).ravel()
-    return pts, wts
-
-
-def integrate_green_row(x: float, kp: KernelParams, lo=-1.0, hi=1.0) -> float:
-    """int_lo^hi G(x,y) dy by graded panels; independent of any grid."""
-    pts, wts = _panel_points(_graded_edges(x, lo, hi))
-    return float(wts @ green_ball(np.full_like(pts, x), pts, kp))
+def _jacobi_vandermonde(x: np.ndarray, n: int, s: float) -> np.ndarray:
+    """V_jk = P_k^(s,s)(x_j) for k < n, by the three-term recurrence."""
+    V = np.empty((x.size, n))
+    V[:, 0] = 1.0
+    V[:, 1] = (s + 1.0) * x
+    for k in range(2, n):
+        c = 2.0 * (k + s)
+        V[:, k] = (
+            (c - 1.0) * c * (c - 2.0) * x * V[:, k - 1]
+            - 2.0 * (k + s - 1.0) ** 2 * c * V[:, k - 2]
+        ) / (2.0 * k * (k + 2.0 * s) * (c - 2.0))
+    return V
 
 
 class GreenOperator:
@@ -231,20 +190,20 @@ class GreenOperator:
     def _build(self):
         nodes = self.grid.nodes
         n = nodes.size
-        bw = _barycentric_weights(n)
-        M = np.zeros((n, n))
-        for i in range(1, (n + 1) // 2):
-            pts, wts = _panel_points(_graded_edges(nodes[i]))
-            gv = green_ball(np.full_like(pts, nodes[i]), pts, self.kp)
-            M[i] = (wts * gv) @ _lagrange_matrix(nodes, bw, pts)
-        # the center row is palindromic exactly; mirror the computed left
-        # half so summation-order noise cannot break M = M[::-1, ::-1]
+        alpha, s = self.kp.alpha, self.kp.alpha / 2.0
+        V = _jacobi_vandermonde(nodes, n, s)
+        lam = np.exp([math.lgamma(alpha + k + 1.0) - math.lgamma(k + 1.0) for k in range(n)])
         mid = (n - 1) // 2
+        # rows 1..mid of V diag(1/lam) V^-1, as the solution X of V^T X^T = rows^T
+        rows = np.linalg.solve(V.T, (V[1 : mid + 1] / lam).T).T
+        M = np.zeros((n, n))
+        M[1 : mid + 1] = (1.0 - nodes[1 : mid + 1] ** 2)[:, None] ** s * rows
+        # the center row is palindromic exactly; mirror the computed left
+        # half so rounding noise cannot break M = M[::-1, ::-1]
         M[mid, mid + 1 :] = M[mid, :mid][::-1]
-        # kernel symmetry G(-x,-y) = G(x,y) and basis reflection
-        # L_j(-y) = L_{n-1-j}(y) make the upper half the mirror of the lower
-        for i in range((n + 1) // 2, n - 1):
-            M[i] = M[n - 1 - i][::-1]
+        # kernel symmetry G(-x,-y) = G(x,y) and basis reflection make the
+        # upper half the mirror of the lower
+        M[mid + 1 : n - 1] = M[1:mid][::-1, ::-1]
         # rows at the endpoints vanish: G(+-1, .) = 0
         return M
 
@@ -252,25 +211,19 @@ class GreenOperator:
         return self.matrix @ values
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=16)
+def _build_operator(n: int, kp: KernelParams) -> GreenOperator:
+    return GreenOperator(make_grid(n), kp)
 
 
 def get_operator(grid: Grid, kp: KernelParams) -> GreenOperator:
     """Cached operator per (grid size, order); construction is deterministic.
 
     The grid must be make_grid(n) or carry its nodes (ValueError otherwise).
+    The cache keeps the 16 most recently used operators.
     """
     require_chebyshev(grid)
-    key = (grid.n, kp.alpha)
-    op = _CACHE.get(key)
-    if op is None:
-        with _CACHE_LOCK:
-            op = _CACHE.get(key)
-            if op is None:
-                op = GreenOperator(grid, kp)
-                _CACHE[key] = op
-    return op
+    return _build_operator(grid.n, kp)
 
 
 def apply_green(f: GridFunction, kp: KernelParams) -> GridFunction:
@@ -279,24 +232,18 @@ def apply_green(f: GridFunction, kp: KernelParams) -> GridFunction:
     return f.with_values(op.apply(f.values))
 
 
-_B_CACHE: dict = {}
-
-
 def operator_norm_b(kp: KernelParams, p: float) -> float:
-    """Best constant b with |G(u^p)| <= b |u|^p over the cone.
+    """Best constant b with |G(u^p)| <= b |u|^p over the cone: 1/Gamma(1+alpha).
 
-    Equals int G(0,y) dy: for cone members with sup norm 1 the power is
-    at most 1 pointwise, and u = 1 attains the bound; the maximum of G1
-    over x sits at 0 since G1 is symmetric and unimodal.  The exponent p
-    does not move the value, only the reasoning above.
+    Equals (G1)(0): for cone members with sup norm 1 the power is at most
+    1 pointwise, and u = 1 attains the bound; G1 = (1-x^2)^(alpha/2) /
+    Gamma(1+alpha), the k = 0 case of the Jacobi eigenrelation, is largest
+    at 0.  The exponent p does not move the value, only the reasoning above.
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    key = kp.alpha
-    if key not in _B_CACHE:
-        kp.require_solver_window()
-        _B_CACHE[key] = integrate_green_row(0.0, kp)
-    return _B_CACHE[key]
+    kp.require_solver_window()
+    return 1.0 / math.gamma(1.0 + kp.alpha)
 
 
 _GAMMA_CACHE: dict = {}
@@ -313,8 +260,9 @@ def gamma_U(
 
     U = (-a_half, a_half).  The y sweep mixes a uniform interior grid
     with points graded toward +-1 where the ratio approaches its boundary
-    limit; the returned grid minimum is a lower-bound estimate of the
-    true infimum and stabilizes under refinement (the tests pin this).
+    limit.  The returned grid minimum is a measured value, not a bound: a
+    minimum over finitely many points is at least the true infimum.  It
+    stabilizes under refinement (the tests pin this).
     """
     if not 0.0 < a_half < 1.0:
         raise ValueError(f"a_half must lie in (0,1), got {a_half}")
@@ -332,7 +280,29 @@ def gamma_U(
     return val
 
 
-_COERC_CACHE: dict = {}
+def _core_mass(a_half: float, kp: KernelParams) -> float:
+    """int_{-a_half}^{a_half} G(0,y) dy: a closed form plus one Gauss rule.
+
+    For |y| <= 1/sqrt(2), w(0,y) >= 1 and green_ball's split gives
+    G(0,y) = c [S(y) + B(s, 1/2-s) |y|^(alpha-1)] with S analytic: the cusp
+    term integrates exactly and S by 32-point Gauss-Legendre.  For a wider
+    core the mass is b minus the two tails, int_{a_half}^1 G(0,y) dy with
+    G(0,y) = (c/s) (1-y^2)^s / y 2F1(1/2, s; s+1; -(1-y^2)/y^2) there: a
+    32-point Gauss-Jacobi rule with weight (1-y)^s absorbs the edge.
+    """
+    alpha, s = kp.alpha, kp.alpha / 2.0
+    if a_half <= math.sqrt(0.5):
+        cusp = green_const(kp) * math.gamma(s) * math.gamma(0.5 - s) / math.sqrt(math.pi)
+        t, wt = leggauss(32)
+        y = a_half * t
+        smooth = green_ball(0.0, y, kp) - cusp * np.abs(y) ** (alpha - 1.0)
+        return a_half * float(wt @ smooth) + 2.0 * cusp * a_half**alpha / alpha
+    t, wt = roots_jacobi(32, s, 0.0)
+    half = 0.5 * (1.0 - a_half)
+    y = a_half + half * (1.0 + t)
+    edge = (half * (1.0 - t)) ** s  # (1-y)^s
+    tail = half ** (s + 1.0) * float(wt @ (green_ball(0.0, y, kp) / edge))
+    return 1.0 / math.gamma(1.0 + alpha) - 2.0 * tail
 
 
 def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
@@ -340,13 +310,10 @@ def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
 
     Bounds G(u^p)(0) from below by a |u|^p for cone members: on U the
     values of u are at least gamma_U |u|.  Never exceeds operator_norm_b.
+    The core mass is computed in closed form up to one 32-point Gauss
+    rule on an analytic integrand (see _core_mass).
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    key = (a_half, p, kp.alpha)
-    if key in _COERC_CACHE:
-        return _COERC_CACHE[key]
     g = gamma_U(a_half, kp)
-    val = g**p * integrate_green_row(0.0, kp, lo=-a_half, hi=a_half)
-    _COERC_CACHE[key] = val
-    return val
+    return g**p * _core_mass(a_half, kp)

@@ -5,11 +5,11 @@ it exists whenever the scalar certificate passes, and the iteration is
 increasing so any escape past the certified radius means divergence.
 The second branch is found by Newton's method deflated away from the
 minimal solution, started at the amplitude the scalar model predicts
-for the larger root.  `fold_sweep` scales the forcing by lambda, counts
-branches on a coarse lambda grid, and locates the fold where the two
-branches merge by one Newton solve of the Moore-Spence extended system
-(Moore & Spence, SIAM J. Numer. Anal. 17, 1980), warm-started from the
-last two-branch point of the scan.
+for the larger root, then at multiples of it.  `fold_sweep` scales the
+forcing by lambda, counts branches on a coarse lambda grid, and locates
+the fold where the two branches merge by one Newton solve of the
+Moore-Spence extended system (Moore & Spence, SIAM J. Numer. Anal. 17,
+1980), warm-started from the last two-branch point of the scan.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ __all__ = [
     "residual_strong",
     "fold_sweep",
 ]
+
+
+# amplitudes of the second-branch Newton starts, as multiples of the scalar
+# model's larger root: the first predicts the branch well, the others catch
+# a start that falls outside the deflated iteration's basin
+_SECOND_STARTS = (1.0, 1.5, 0.75, 2.5, 4.0)
 
 
 def _pow(u, p):
@@ -287,10 +293,9 @@ def newton_second(
 
     u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
     base = sigma2 if sigma2 is not None else 2.0 * u_t
-    scales = [base]
+    scales = [f * base for f in _SECOND_STARTS]
     if radii is not None:
-        scales.append(radii.rho3 / 2.0)
-    scales += [1.5 * base, 0.75 * base, 2.5 * base, 4.0 * base]
+        scales.insert(1, radii.rho3 / 2.0)
 
     profile = known_u.values
     if float(np.abs(profile).max()) <= 0.0:
@@ -412,6 +417,9 @@ def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
     Picard from zero is capped: near the fold it would need up to 1e5
     steps.  Its last iterate is a subsolution below the minimal branch,
     from which plain Newton on this convex map climbs monotonically to it.
+    The second branch is sought from the _SECOND_STARTS amplitudes in
+    turn; the first start that converges to a distinct, nonnegative
+    solution counts.
     """
     u0_sup = float(np.abs(u0vec).max())
     u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
@@ -425,12 +433,13 @@ def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
         return 1, umin, None
     sigma2 = _scalar_second_root(b, u0_sup, p)
     scale = sigma2 if sigma2 is not None else 2.0 * u_t
-    start = umin * (scale / smin)
-    usec, _, st2, _ = _newton(M, u0vec, p, start, tol=1e-12, max_iter=newton_max, known=umin)
-    distinct = float(np.abs(usec - umin).max()) >= 1e-7
-    if st2 != "converged" or not distinct or (usec < -1e-10).any():
-        return 1, umin, None
-    return 2, umin, usec
+    for factor in _SECOND_STARTS:
+        start = umin * (factor * scale / smin)
+        usec, _, st2, _ = _newton(M, u0vec, p, start, tol=1e-12, max_iter=newton_max, known=umin)
+        distinct = float(np.abs(usec - umin).max()) >= 1e-7
+        if st2 == "converged" and distinct and not (usec < -1e-10).any():
+            return 2, umin, usec
+    return 1, umin, None
 
 
 def _fold_newton(M, base, p, u, v, lam, tol=1e-12, max_iter=30):
@@ -493,7 +502,8 @@ def fold_sweep(
     u_second - u_minimal.  The scalar model is the same solve with n = 1.
     fold_estimate is NaN, and fold_status says why, when the scan never
     went from two branches to fewer ("not_bracketed"), or when Newton
-    failed or left (lam_lo, lam_hi] ("newton_failed").
+    failed or left (lam_lo, lam_hi] by more than its tolerance
+    ("newton_failed").
     """
     if not (0.0 < lambda_lo < lambda_hi):
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got [{lambda_lo}, {lambda_hi}]")
@@ -530,7 +540,9 @@ def fold_sweep(
             M[inner, inner], base[inner], p,
             0.5 * (umin + usec)[inner], (usec - umin)[inner], lo,
         )
-        if lam is not None and lo < lam <= hi:
+        # a fold on the scan point hi is a double root counted as one
+        # branch there; Newton then lands within its tolerance of hi
+        if lam is not None and lo < lam <= hi * (1.0 + 1e-12):
             fold, status = lam, "converged"
         else:
             status = "newton_failed"

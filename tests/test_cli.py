@@ -170,6 +170,15 @@ class TestSweep:
         assert rep["fold_status"] == "newton_failed"
         assert rep["bracketed"] is False and rep["fold_estimate"] is None
 
+    def test_fold_an_ulp_past_a_scan_point_is_accepted(self, tmp_path, monkeypatch):
+        # the scalar fold of this scan sits on its point lambda = 2, where the
+        # double root counts as one branch; rounding may put Newton's fold
+        # an ulp above that point, still inside the bracket
+        monkeypatch.setattr(solver, "_fold_newton", lambda *args: np.nextafter(2.0, 3.0))
+        assert run(tmp_path, "sweep", "--scalar", "--lambda-lo", "0.5",
+                   "--lambda-hi", "3.5", "--steps", "7") == 0
+        assert read_json(tmp_path, "fold.json")["fold_status"] == "converged"
+
     def test_rel_width_flag_is_gone(self, tmp_path):
         assert run(tmp_path, "sweep", "--scalar", "--rel-width", "1e-3") == 2
 

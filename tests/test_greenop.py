@@ -1,6 +1,12 @@
+import math
+import time
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
+from bifrac import greenop
 from bifrac.greenop import (
     Grid,
     GridFunction,
@@ -8,13 +14,16 @@ from bifrac.greenop import (
     coercivity_a,
     gamma_U,
     get_operator,
-    integrate_green_row,
     make_grid,
     operator_norm_b,
 )
 from bifrac.kernels import KernelParams
+from bifrac.solver import newton_second, picard_minimal
 
 from conftest import torsion_exact
+from panel_quadrature import green_matrix_row, green_row_integral
+
+ORDERS = (1.05, 1.5, 1.95)
 
 
 class TestGrid:
@@ -126,6 +135,58 @@ class TestOperator:
         with pytest.raises(ValueError):
             get_operator(grid65, KernelParams(alpha=1.99))
 
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_jacobi_eigenfunctions(self, n, alpha):
+        # G[P_k] = (1-x^2)^s P_k / lambda_k for polynomials of degree < n
+        s = alpha / 2.0
+        x = make_grid(n).nodes
+        M = get_operator(make_grid(n), KernelParams(alpha=alpha)).matrix
+        for k in (0, 10, n // 2, n - 1):
+            P = eval_jacobi(k, s, s, x)
+            lam = math.exp(math.lgamma(alpha + k + 1.0) - math.lgamma(k + 1.0))
+            want = (1.0 - x**2) ** s * P / lam
+            assert np.abs(M @ P - want).max() <= 1e-10 * np.abs(want).max(), k
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_rows_match_refined_panel_quadrature(self, n, alpha):
+        kp = KernelParams(alpha=alpha)
+        grid = make_grid(n)
+        M = get_operator(grid, kp).matrix
+        for i in (1, n // 5, n // 2):
+            want = green_matrix_row(grid.nodes, i, kp)
+            assert np.abs(M[i] - want).max() <= 1e-12 * np.abs(want).max(), i
+
+    def test_matrix_is_c_contiguous(self, grid65, kp):
+        assert get_operator(grid65, kp).matrix.flags.c_contiguous
+
+    def test_cache_is_bounded(self):
+        for alpha in np.linspace(1.1, 1.9, 20):
+            get_operator(make_grid(65), KernelParams(alpha=float(alpha)))
+        assert greenop._build_operator.cache_info().currsize <= 16
+
+    def test_build_needs_no_quadrature(self):
+        # panel quadrature took over a second at n = 257; the closed form
+        # builds n = 513 in a few tens of milliseconds
+        grid = make_grid(513)
+        t0 = time.perf_counter()
+        greenop.GreenOperator(grid, KernelParams(alpha=1.37))
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_second_branch_converges_under_refinement(self, h_certified, kp):
+        # bump forcing at half the certificate threshold, resolved on three
+        # nested grids; the change 129 -> 257 must shrink, not stall
+        amp = float(h_certified.values.max())
+        second = {}
+        for n in (65, 129, 257):
+            h = GridFunction.from_callable(make_grid(n), lambda x: amp * (1 - x**2))
+            low = picard_minimal(h, 2.0, kp)
+            second[n] = newton_second(h, 2.0, kp, low.u).u.values
+        step1 = np.abs(second[129][::2] - second[65]).max()
+        step2 = np.abs(second[257][::2] - second[129]).max()
+        assert step2 <= 0.1 * step1
+
 
 class TestConstants:
     def test_growth_constant_dual_routes(self):
@@ -184,6 +245,29 @@ class TestConstants:
     def test_coercivity_reference_value(self, kp):
         # gamma_U^2 * int_{-1/2}^{1/2} G(0,y) dy at alpha = 1.5
         assert coercivity_a(0.5, 2.0, kp) == pytest.approx(0.08006, rel=1e-3)
-        assert integrate_green_row(0.0, kp, -0.5, 0.5) == pytest.approx(
+        assert green_row_integral(0.0, kp, -0.5, 0.5) == pytest.approx(
             0.55882086, rel=1e-6
         )
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_core_mass_oracles(self, alpha):
+        # both sides of a_half = 1/sqrt(2), where the closed form switches route
+        kp = KernelParams(alpha=alpha)
+        with mpmath.workdps(20):
+            s = mpmath.mpf(alpha) / 2
+            c = 1 / (2 ** (2 * s) * mpmath.gamma(s) ** 2)
+
+            def g0(y):
+                # G(0,y) = c y^(alpha-1) I(w), I(w) = (w^s/s) 2F1(1/2, s; s+1; -w)
+                w = (1 - y * y) / (y * y)
+                return c / s * (1 - y * y) ** s / y * mpmath.hyp2f1(0.5, s, s + 1, -w)
+
+            want = {
+                0.5: float(2 * mpmath.quad(g0, [0, 0.5])),
+                0.9999: float(2 * mpmath.quad(g0, [0, mpmath.sqrt(0.5), 0.9999])),
+            }
+        for a_half, mass in want.items():
+            assert greenop._core_mass(a_half, kp) == pytest.approx(mass, rel=1e-13), a_half
+        for a_half in (0.5, 0.7, 0.71, 0.9999):
+            want = green_row_integral(0.0, kp, -a_half, a_half)
+            assert greenop._core_mass(a_half, kp) == pytest.approx(want, rel=1e-13), a_half

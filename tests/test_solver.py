@@ -177,6 +177,17 @@ class TestFoldSweep:
         assert below.status == "converged"
         assert above.status == "diverged"
 
+    @pytest.mark.parametrize("profile", ["torsion", "plateau"])
+    def test_scan_counts_two_branches_below_the_fold(self, profile):
+        # at lambda = 3.2 the scalar-predicted second-branch start falls
+        # outside the deflated Newton basin; a later start must catch it
+        cfg = RunConfig(alpha=1.5, p=1.5, h_profile=profile, grid_n=129)
+        kp_a = cfg.kernel_params()
+        sw = fold_sweep(build_forcing(cfg, kp_a), 1.5, kp_a, 3.2, 16.0, 9)
+        assert sw.fold_status == "converged"
+        for pt in sw.points:
+            assert pt.n_found == (2 if pt.lam < sw.fold_estimate else 0), pt.lam
+
     def test_unbracketed_fold_is_nan(self, h_certified, kp):
         sw = fold_sweep(h_certified, 2.0, kp, 0.1, 0.5, 3, scalar_model=True)
         assert not sw.bracketed
