@@ -343,6 +343,16 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0 if distinct else 1
 
 
+def _green_ratio_table(a_half: float, kp: KernelParams) -> float:
+    """Minimum of G(x,y)/G(0,y) over 161 x in U and 401 uniform y plus 120
+    per side graded to within 1e-9 of +-1: the lemma's check on gamma_U."""
+    graded = 1.0 - np.geomspace(1e-9, 1.0, 120)
+    ys = np.unique(np.concatenate([-graded, graded, np.linspace(-0.999, 0.999, 401)]))
+    xs = np.linspace(-a_half, a_half, 161)
+    G = green_ball(xs[:, None], ys[None, :], kp)
+    return float((G.min(axis=0) / green_ball(np.zeros_like(ys), ys, kp)).min())
+
+
 def lemma_battery(cfg: RunConfig) -> dict:
     """The six numerical checks behind the existence machinery.
 
@@ -357,7 +367,7 @@ def lemma_battery(cfg: RunConfig) -> dict:
     items = {}
 
     g1 = gamma_U(cfg.a_half, kp)
-    g2 = gamma_U(cfg.a_half, kp, x_count=161, y_count=120, y_lin=401)
+    g2 = _green_ratio_table(cfg.a_half, kp)
     rel = abs(g2 - g1) / g1 if g1 > 0 else float("inf")
     items["green_ratio"] = {
         "pass": g1 > 0 and rel <= cfg.tol("green_ratio"),

@@ -246,38 +246,19 @@ def operator_norm_b(kp: KernelParams, p: float) -> float:
     return 1.0 / math.gamma(1.0 + kp.alpha)
 
 
-_GAMMA_CACHE: dict = {}
+def gamma_U(a_half: float, kp: KernelParams) -> float:
+    """Kernel ratio inf over y and x in U of G(x,y) / G(0,y): G(a_half,0) / G(0,0).
 
-
-def gamma_U(
-    a_half: float,
-    kp: KernelParams,
-    x_count: int = 81,
-    y_count: int = 60,
-    y_lin: int = 201,
-) -> float:
-    """Empirical kernel ratio: min over y of inf_{x in U} G(x,y) / G(0,y).
-
-    U = (-a_half, a_half).  The y sweep mixes a uniform interior grid
-    with points graded toward +-1 where the ratio approaches its boundary
-    limit.  The returned grid minimum is a measured value, not a bound: a
-    minimum over finitely many points is at least the true infimum.  It
-    stabilizes under refinement (the tests pin this).
+    U = (-a_half, a_half).  The infimum sits at x = +-a_half, y = 0.
+    That is a measured fact, not a proof: dense tables of the ratio over
+    x in U and y in (-1,1), with y graded to within 1e-9 of the ends,
+    attain their minimum there for every alpha and a_half tested (the
+    tests compare with such a table).
     """
     if not 0.0 < a_half < 1.0:
         raise ValueError(f"a_half must lie in (0,1), got {a_half}")
     kp.require_solver_window()
-    key = (a_half, kp.alpha, x_count, y_count, y_lin)
-    if key in _GAMMA_CACHE:
-        return _GAMMA_CACHE[key]
-    graded = 1.0 - np.geomspace(1e-9, 1.0, y_count)
-    ys = np.unique(np.concatenate([-graded, graded, np.linspace(-0.999, 0.999, y_lin)]))
-    xs = np.linspace(-a_half, a_half, x_count)
-    G = green_ball(xs[:, None], ys[None, :], kp)
-    G0 = green_ball(np.zeros_like(ys), ys, kp)
-    val = float((G.min(axis=0) / G0).min())
-    _GAMMA_CACHE[key] = val
-    return val
+    return green_ball(a_half, 0.0, kp) / green_ball(0.0, 0.0, kp)
 
 
 def _core_mass(a_half: float, kp: KernelParams) -> float:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 __all__ = [
     "ScalarProblem",
     "Radii",
@@ -20,9 +18,6 @@ __all__ = [
     "scalar_roots",
     "radii_certificate",
 ]
-
-# Bracketing width for root isolation; roots are Newton-polished afterwards.
-_BISECT_TOL = 1e-14
 
 # Relative window around c_p treated as exact tangency.  The two-solution
 # guarantee needs strict inequality, so the boundary case is reported as
@@ -96,13 +91,22 @@ def critical_constant(p: float) -> float:
     return (q ** ((1.0 - p) / p) + q ** (1.0 / p)) ** (-p)
 
 
-def _newton_polish(f, df, x, iters=3):
-    for _ in range(iters):
-        d = df(x)
-        if d == 0.0:
+def _convex_root(f, df, x):
+    """Root of a convex f by Newton's method from x with f(x) >= 0.
+
+    From that side of a root of a convex function each Newton step moves
+    toward the root and never past it, so the iterates stay in the
+    bracket; the loop ends when rounding stops f from decreasing.
+    """
+    fx = f(x)
+    for _ in range(100):  # a near-double root needs about 30 steps
+        if not fx > 0.0:
             break
-        step = f(x) / d
-        x -= step
+        nx = x - fx / df(x)
+        fn = f(nx)
+        if not fn < fx:
+            break
+        x, fx = nx, fn
     return x
 
 
@@ -111,8 +115,9 @@ def scalar_roots(prob: ScalarProblem) -> list[float]:
 
     g(u) = b*u^p + u0 - u is convex on u >= 0 with a unique minimizer
     u_t = (1/(p*b))^(1/(p-1)), so there are at most two sign changes:
-    one in [0, u_t], one in [u_t, inf).  Each is found by Brent's method
-    on its bracket and polished with a few Newton steps.
+    one in [0, u_t], one in [u_t, inf).  Newton's method from 0 climbs to
+    the left root and from a point where g > 0 beyond u_t descends to the
+    right one; neither overshoots, so both roots are real and nonnegative.
     """
     b, u0, p = prob.b, prob.u0, prob.p
     g = lambda u: b * u**p + u0 - u
@@ -126,21 +131,13 @@ def scalar_roots(prob: ScalarProblem) -> list[float]:
     if g_min == 0.0:
         return [u_t]
 
-    # left root in (0, u_t]: g(0) = u0 >= 0
-    if u0 == 0.0:
-        left = 0.0
-    else:
-        left = brentq(g, 0.0, u_t, xtol=_BISECT_TOL)
-        left = _newton_polish(g, dg, left)
-
-    # right root in [u_t, inf): expand the bracket until g turns positive
+    # left root in [0, u_t): g(0) = u0 >= 0
+    left = _convex_root(g, dg, 0.0)
+    # right root in (u_t, inf): expand the bracket until g turns positive
     hi = 2.0 * u_t
     while g(hi) <= 0.0:
         hi *= 2.0
-    right = brentq(g, u_t, hi, xtol=_BISECT_TOL)
-    right = _newton_polish(g, dg, right)
-
-    return [left, right]
+    return [left, _convex_root(g, dg, hi)]
 
 
 def radii_certificate(
@@ -180,16 +177,16 @@ def radii_certificate(
 
     rho2 = (u0_norm / (b_coef * (p - 1.0))) ** (1.0 / p)
 
+    # both functions are convex with one positive root; f1(u0) = b*u0^p > 0
     f1 = lambda r: b_coef * r**p + r - u0_norm
-    # f1(0) = -u0 < 0 and f1(u0) = b*u0^p > 0
-    r1 = brentq(f1, 0.0, u0_norm, xtol=_BISECT_TOL)
+    r1 = _convex_root(f1, lambda r: p * b_coef * r ** (p - 1.0) + 1.0, u0_norm)
     rho1 = 0.5 * r1
 
     f3 = lambda r: a_coef * r**p - r - u0_norm
     hi = max(2.0 * rho2, 2.0 / a_coef)
     while f3(hi) <= 0.0:
         hi *= 2.0
-    r3 = brentq(f3, 0.0, hi, xtol=_BISECT_TOL)
+    r3 = _convex_root(f3, lambda r: p * a_coef * r ** (p - 1.0) - 1.0, hi)
     rho3 = max(2.0 * rho2, 2.0 * r3)
 
     return Radii(rho1, rho2, rho3)

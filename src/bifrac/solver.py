@@ -3,11 +3,14 @@
 The minimal branch is the monotone limit of Picard iteration from zero;
 it exists whenever the scalar certificate passes, and the iteration is
 increasing so any escape past the certified radius means divergence.
-The second branch is found by Newton's method deflated away from the
-minimal solution, started at the amplitude the scalar model predicts
-for the larger root, then at multiples of it.  `fold_sweep` scales the
-forcing by lambda, counts branches on a coarse lambda grid, and locates
-the fold where the two branches merge by one Newton solve of the
+Everything else is one dense Newton routine, `_newton`, fed a callback
+that returns the residual and Jacobian of its system.  The second branch
+is Newton deflated away from the minimal solution (Farrell, Birkisson &
+Funke, SIAM J. Sci. Comput. 37, 2015), started at the amplitude the
+scalar model predicts for the larger root, then at multiples of it;
+`newton_second` and the sweep run the same search.  `fold_sweep` scales
+the forcing by lambda, counts branches on a coarse lambda grid, and
+locates the fold where the two branches merge by one Newton solve of the
 Moore-Spence extended system (Moore & Spence, SIAM J. Numer. Anal. 17,
 1980), warm-started from the last two-branch point of the scan.
 """
@@ -17,13 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .cone import ConeSpec, check_membership, sample_cone
 from .greenop import GridFunction, apply_green, coercivity_a, get_operator, operator_norm_b
 from .kernels import KernelParams, PVConfig, frac_laplacian_pv
-from .scalar import CertificateFailure, Radii, critical_constant, radii_certificate
+from .scalar import (
+    CertificateFailure,
+    Radii,
+    ScalarProblem,
+    critical_constant,
+    radii_certificate,
+    scalar_roots,
+)
 
 __all__ = [
     "CertificateReport",
@@ -54,10 +62,6 @@ def _pow(u, p):
 
 def _dpow(u, p):
     return p * np.maximum(u, 0.0) ** (p - 1.0)
-
-
-def _default_spec(kp: KernelParams) -> ConeSpec:
-    return ConeSpec.for_kernel(kp)  # gamma_U is cached, so this is cheap
 
 
 @dataclass(frozen=True)
@@ -148,23 +152,6 @@ class SolveResult:
         }
 
 
-def _scalar_second_root(b: float, u0_sup: float, p: float):
-    """Largest root of b s^p + u0_sup = s, or None past the fold.
-
-    The gap function is convex with minimizer u_t; a negative value
-    there is equivalent to two distinct roots, and the larger one lies
-    to the right of u_t, which gives a safe bracket.
-    """
-    u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
-    f = lambda s: b * s**p + u0_sup - s
-    if f(u_t) >= 0.0:
-        return None
-    hi = 2.0 * u_t
-    while f(hi) < 0.0:
-        hi *= 10.0
-    return brentq(f, u_t, hi, xtol=1e-300, rtol=1e-15)
-
-
 def _picard(M, u0vec, p, tol, max_iter, guard):
     u = np.zeros_like(u0vec)
     for it in range(1, max_iter + 1):
@@ -178,40 +165,72 @@ def _picard(M, u0vec, p, tol, max_iter, guard):
     return u, max_iter, "max_iter"
 
 
-def _newton(M, u0vec, p, start, tol, max_iter, known=None):
-    """Newton for u = M u^p + u0vec, deflated off `known` when one is given."""
-    n = u0vec.size
-    eye = np.eye(n)
-    u = start.copy()
+def _newton(system, x, tol, max_iter, known=None):
+    """Dense Newton for F(x) = 0, where system(x) returns (F, J).
+
+    Returns (x, iterations, status): "converged" once a step is below tol
+    in the max norm, "diverged" on a non-finite step, "singular" when J
+    cannot be factored, else "max_iter".  Steps are capped at
+    50 max(1, |x|) so no jump overflows the power.  Given `known`, F is
+    deflated by 1 + 1/|x - known|^2, which repels the iteration from it.
+    """
     for it in range(1, max_iter + 1):
-        F = u - M @ _pow(u, p) - u0vec
-        if not np.isfinite(F).all():
-            return u, it, "diverged", np.inf
-        J = eye - M * _dpow(u, p)[None, :]
+        F, J = system(x)
         try:
             d = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            return u, it, "singular", np.inf
+            return x, it, "singular"
+        if not np.isfinite(d).all():
+            return x, it, "diverged"
         if known is not None:
-            diff = u - known
+            diff = x - known
             nrm2 = float(diff @ diff)
             if nrm2 > 0.0:
-                # deflation by eta = 1 + 1/|u - known|^2: the rank-one update of
-                # the Jacobian reduces to scaling the plain step (Sherman-Morrison)
+                # the rank-one update of the deflated Jacobian reduces to
+                # scaling the plain step (Sherman-Morrison)
                 eta = 1.0 + 1.0 / nrm2
                 tau = float(-2.0 * (diff @ d) / nrm2**2)
                 if abs(eta - tau) > 1e-300:
                     d = d * (eta / (eta - tau))
-        # keep the iterate from overflowing the power evaluation
-        cap = 50.0 * max(1.0, float(np.abs(u).max()))
+        cap = 50.0 * max(1.0, float(np.abs(x).max()))
         dmax = float(np.abs(d).max())
         if dmax > cap:
             d = d * (cap / dmax)
-        u = u + d
+        x = x + d
         if dmax < tol:
-            F = u - M @ _pow(u, p) - u0vec
-            return u, it, "converged", float(np.abs(F).max())
-    return u, max_iter, "max_iter", np.nan
+            return x, it, "converged"
+    return x, max_iter, "max_iter"
+
+
+def _branch_system(M, u0vec, p):
+    """(F, J) for u = M u^p + u0vec: F = u - M u^p - u0vec, J = I - M diag(p u^(p-1))."""
+    eye = np.eye(u0vec.size)
+    return lambda u: (u - M @ _pow(u, p) - u0vec, eye - M * _dpow(u, p)[None, :])
+
+
+def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None):
+    """Newton deflated off the solution `known`, from rescaled `profile`.
+
+    Starts are `profile` scaled to the _SECOND_STARTS multiples of the
+    larger root of the ScalarProblem `scalar` (of twice its tangency
+    amplitude past the fold).  Returns (u, iterations, "converged") for
+    the first start that reaches a nonnegative solution distinct from
+    `known` which `accept`, if given, takes; else the last start's
+    outcome, with "not_found" for a rejected converged one.
+    """
+    b, p = scalar.b, scalar.p
+    base = max(scalar_roots(scalar), default=2.0 * (1.0 / (p * b)) ** (1.0 / (p - 1.0)))
+    psup = float(np.abs(profile).max())
+    for factor in _SECOND_STARTS:
+        u, it, status = _newton(system, profile * (factor * base / psup), tol, max_iter, known=known)
+        if (
+            status == "converged"
+            and float(np.abs(u - known).max()) > 1e-7
+            and u.min() >= -1e-10 * max(1.0, float(np.abs(u).max()))
+            and (accept is None or accept(u))
+        ):
+            return u, it, status
+    return u, it, "not_found" if status == "converged" else status
 
 
 def picard_minimal(
@@ -230,7 +249,7 @@ def picard_minimal(
     is reported as divergence.
     """
     if spec is None:
-        spec = _default_spec(kp)
+        spec = ConeSpec.for_kernel(kp)
     op = get_operator(h.grid, kp)
     u0vec = op.apply(h.values)
     u0_sup = float(np.abs(u0vec).max())
@@ -268,70 +287,43 @@ def newton_second(
 ) -> SolveResult:
     """Second-branch solution by Newton iteration deflated off the known one.
 
-    Starts are the known profile rescaled to candidate amplitudes: the
-    larger root of the scalar model first (it predicts the second branch
-    sup well), then half the outer certified radius, then spread factors
-    around the scalar root.  A candidate is accepted only if it converged
-    to something genuinely distinct, nonnegative and inside the cone,
-    beyond rho2 when a certificate is available.
+    Starts are the known profile rescaled to the _SECOND_STARTS multiples
+    of the scalar model's larger root, which predicts the second branch
+    sup well.  A candidate is accepted only if it converged to something
+    genuinely distinct, nonnegative and inside the cone, beyond rho2 when
+    a certificate is available.  The fold sweep runs the same search.
     """
     if spec is None:
-        spec = _default_spec(kp)
+        spec = ConeSpec.for_kernel(kp)
     known_u = known.u if isinstance(known, SolveResult) else known
     op = get_operator(h.grid, kp)
     u0vec = op.apply(h.values)
     u0_sup = float(np.abs(u0vec).max())
     b = operator_norm_b(kp, p)
-    c_p = critical_constant(p)
-    sigma2 = _scalar_second_root(b, u0_sup, p)
 
-    radii = None
-    if 0.0 < b * u0_sup ** (p - 1.0) < c_p:
-        res = radii_certificate(coercivity_a(spec.a_half, p, kp), b, u0_sup, p)
-        if isinstance(res, Radii):
-            radii = res
+    radii = radii_certificate(coercivity_a(spec.a_half, p, kp), b, u0_sup, p)
+    radii = radii if isinstance(radii, Radii) else None
+    sep_floor = max(1e-7, 10.0 * tol, (radii.rho2 - radii.rho1) / 2.0 if radii else 0.0)
 
-    u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
-    base = sigma2 if sigma2 is not None else 2.0 * u_t
-    scales = [f * base for f in _SECOND_STARTS]
-    if radii is not None:
-        scales.insert(1, radii.rho3 / 2.0)
-
-    profile = known_u.values
-    if float(np.abs(profile).max()) <= 0.0:
-        profile = (1.0 - h.grid.nodes**2) ** (kp.alpha / 2.0)
-    psup = float(np.abs(profile).max())
-
-    sep_floor = max(1e-7, 10.0 * tol)
-    if radii is not None:
-        sep_floor = max(sep_floor, (radii.rho2 - radii.rho1) / 2.0)
-
-    last = None
-    for scale in scales:
-        start = profile * (scale / psup)
-        vals, iters, status, fp = _newton(
-            op.matrix, u0vec, p, start, tol, max_iter, known=known_u.values
+    def accept(vals):
+        return (
+            float(np.abs(vals - known_u.values).max()) > sep_floor
+            and check_membership(h.with_values(vals), spec).member
+            and (radii is None or float(np.abs(vals).max()) > radii.rho2)
         )
-        u = h.with_values(vals)
-        membership = check_membership(u, spec)
-        sep = float(np.abs(vals - known_u.values).max())
-        result = SolveResult(
-            u=u, fixed_point_residual=fp, iterations=iters, branch="second",
-            in_cone=membership.member, converged=(status == "converged"), status=status,
-        )
-        accepted = (
-            status == "converged"
-            and sep > sep_floor
-            and vals.min() > -1e-10 * max(1.0, u.sup_norm)
-            and membership.member
-            and (radii is None or u.sup_norm > radii.rho2)
-        )
-        if accepted:
-            return result
-        last = result
-    last.status = "not_found" if last.status == "converged" else last.status
-    last.converged = False
-    return last
+
+    # a zero known solution gives no shape; start from the torsion profile
+    profile = known_u.values if known_u.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (kp.alpha / 2.0)
+    vals, iters, status = _second_branch(
+        _branch_system(op.matrix, u0vec, p), known_u.values, profile,
+        ScalarProblem(b=b, u0=u0_sup, p=p), tol, max_iter, accept,
+    )
+    u, converged = h.with_values(vals), status == "converged"
+    return SolveResult(
+        u=u, fixed_point_residual=float(np.abs(vals - op.matrix @ _pow(vals, p) - u0vec).max()),
+        iterations=iters, branch="second", in_cone=converged or check_membership(u, spec).member,
+        converged=converged, status=status,
+    )
 
 
 @dataclass(frozen=True)
@@ -379,6 +371,8 @@ def residual_strong(
     principal-value quadrature and compares with u^p + h.  The result is
     stored on the SolveResult and returned.
     """
+    from scipy.interpolate import CubicSpline  # kept off the import path of the CLI
+
     u = result.u
     su = CubicSpline(u.grid.nodes, u.values)
     sh = CubicSpline(h.grid.nodes, h.values)
@@ -417,71 +411,48 @@ def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
     Picard from zero is capped: near the fold it would need up to 1e5
     steps.  Its last iterate is a subsolution below the minimal branch,
     from which plain Newton on this convex map climbs monotonically to it.
-    The second branch is sought from the _SECOND_STARTS amplitudes in
-    turn; the first start that converges to a distinct, nonnegative
-    solution counts.
+    The second branch is sought by the search newton_second runs.
     """
-    u0_sup = float(np.abs(u0vec).max())
     u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
+    system = _branch_system(M, u0vec, p)
     umin, _, st = _picard(M, u0vec, p, tol=tol, max_iter=picard_max, guard=4.0 * u_t)
     if st == "max_iter":
-        umin, _, st, _ = _newton(M, u0vec, p, umin, tol=1e-12, max_iter=newton_max)
+        umin, _, st = _newton(system, umin, 1e-12, newton_max)
     if st != "converged":
         return 0, None, None
-    smin = float(np.abs(umin).max())
-    if smin <= 0.0:
-        return 1, umin, None
-    sigma2 = _scalar_second_root(b, u0_sup, p)
-    scale = sigma2 if sigma2 is not None else 2.0 * u_t
-    for factor in _SECOND_STARTS:
-        start = umin * (factor * scale / smin)
-        usec, _, st2, _ = _newton(M, u0vec, p, start, tol=1e-12, max_iter=newton_max, known=umin)
-        distinct = float(np.abs(usec - umin).max()) >= 1e-7
-        if st2 == "converged" and distinct and not (usec < -1e-10).any():
-            return 2, umin, usec
-    return 1, umin, None
+    scalar = ScalarProblem(b=b, u0=float(np.abs(u0vec).max()), p=p)
+    usec, _, st = _second_branch(system, umin, umin, scalar, 1e-12, newton_max)
+    return (2, umin, usec) if st == "converged" else (1, umin, None)
 
 
 def _fold_newton(M, base, p, u, v, lam, tol=1e-12, max_iter=30):
     """Moore-Spence Newton for the fold of u = M u^p + lam * base.
 
     Unknowns u, v and lam; equations u - M u^p - lam base = 0,
-    (I - M diag(p u^(p-1))) v = 0 and v[c] = 1 with c = argmax |v| of the
-    start.  A quadratic fold is a regular solution of this system, so
-    Newton converges quadratically from a start near it.  u must be
-    positive: callers drop the zero endpoint values, where the second
-    derivative p (p-1) u^(p-2) is infinite for p < 2.  Returns lam, or
-    None when the iteration fails.
+    (I - M diag(p u^(p-1))) v = 0 and v[c] = 1, c = argmax |v| at the
+    start: the bordered (2m+1) system handed to _newton.  A quadratic
+    fold is a regular solution, so Newton converges quadratically near
+    it.  u must be positive: callers drop the zero endpoint values, where
+    p (p-1) u^(p-2) is infinite for p < 2.  Returns lam, or None.
     """
     m = u.size
     c = int(np.argmax(np.abs(v)))
-    v = v / v[c]
-    eye = np.eye(m)
+    branch = _branch_system(M, np.zeros(m), p)
     A = np.zeros((2 * m + 1, 2 * m + 1))
     A[:m, 2 * m] = -base
     A[2 * m, m + c] = 1.0
-    for _ in range(max_iter):
-        J = eye - M * _dpow(u, p)[None, :]
-        F = np.concatenate([u - M @ _pow(u, p) - lam * base, J @ v, [v[c] - 1.0]])
+
+    def system(x):
+        u, v, lam = x[:m], x[m:2 * m], x[2 * m]
+        F, J = branch(u)
         A[:m, :m] = J
         A[m:2 * m, m:2 * m] = J
-        with np.errstate(all="ignore"):  # a non-finite step is caught below
+        with np.errstate(all="ignore"):  # a non-finite entry gives a non-finite step
             A[m:2 * m, :m] = -M * (p * (p - 1.0) * np.maximum(u, 0.0) ** (p - 2.0) * v)[None, :]
-            try:
-                d = np.linalg.solve(A, -F)
-            except np.linalg.LinAlgError:
-                return None
-        if not np.isfinite(d).all():
-            return None
-        u, v, lam = u + d[:m], v + d[m:2 * m], lam + d[2 * m]
-        step = max(
-            np.abs(d[:m]).max() / np.abs(u).max(),
-            np.abs(d[m:2 * m]).max() / np.abs(v).max(),
-            abs(d[2 * m]) / abs(lam),
-        )
-        if step <= tol:
-            return float(lam)
-    return None
+        return np.concatenate([F - lam * base, J @ v, [v[c] - 1.0]]), A
+
+    x, _, status = _newton(system, np.concatenate([u, v / v[c], [lam]]), tol, max_iter)
+    return float(x[2 * m]) if status == "converged" else None
 
 
 def fold_sweep(

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bifrac
 from bifrac import solver
 from bifrac.cli import main
 from bifrac.greenop import GridFunction, make_grid
@@ -240,3 +243,16 @@ class TestDeterminism:
         bytes_a = (tmp_path / "lemmas.json").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "lemmas.json").read_bytes() == bytes_a
+
+
+def test_cli_import_loads_neither_optimize_nor_interpolate():
+    # a fresh process pays for every module the CLI pulls in at import
+    code = (
+        "import sys, bifrac.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bifrac.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

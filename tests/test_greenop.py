@@ -17,7 +17,7 @@ from bifrac.greenop import (
     make_grid,
     operator_norm_b,
 )
-from bifrac.kernels import KernelParams
+from bifrac.kernels import KernelParams, green_ball
 from bifrac.solver import newton_second, picard_minimal
 
 from conftest import torsion_exact
@@ -225,10 +225,18 @@ class TestConstants:
         # larger core interval means an infimum over more points
         assert gamma_U(0.3, kp) > gamma_U(0.5, kp) > gamma_U(0.7, kp)
 
-    def test_gamma_stable_under_grid_doubling(self, kp):
-        g1 = gamma_U(0.5, kp)
-        g2 = gamma_U(0.5, kp, x_count=161, y_count=120, y_lin=401)
-        assert abs(g2 - g1) / g1 <= 0.02
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("a_half", [0.3, 0.5, 0.7])
+    def test_gamma_closed_form_matches_dense_table(self, alpha, a_half):
+        # oracle: the minimum of G(x,y)/G(0,y) over 201 x in U and 1199 y,
+        # graded to within 1e-12 of +-1; the closed form claims it sits at
+        # x = +-a_half, y = 0, so the table can only match it, not undercut it
+        kp_a = KernelParams(alpha=alpha)
+        graded = 1.0 - np.geomspace(1e-12, 0.5, 100)
+        ys = np.concatenate([-graded, np.linspace(-1.0, 1.0, 1001)[1:-1], graded])
+        xs = np.linspace(-a_half, a_half, 201)
+        table = green_ball(xs[:, None], ys[None, :], kp_a) / green_ball(0.0, ys, kp_a)
+        assert gamma_U(a_half, kp_a) == pytest.approx(table.min(), rel=1e-12, abs=0.0)
 
     def test_gamma_input_validation(self, kp):
         with pytest.raises(ValueError):

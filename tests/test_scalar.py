@@ -75,6 +75,26 @@ def test_multiplicity_flips_at_threshold(p, b, margin, above):
     assert len(roots) == (0 if above else 2)
 
 
+def test_roots_real_for_tiny_forcing_near_tangency():
+    # a Newton polish from outside the bracket used to step below 0 here
+    # and return complex numbers; the roots are a near-double pair around
+    # u_t ~ 1.2e-13 (references: 50-digit mpmath.findroot)
+    prob = ScalarProblem(b=17.80379321606776, u0=1.0953553858082335e-14, p=1.1)
+    roots = scalar_roots(prob)
+    assert all(type(r) is float for r in roots)
+    u_t = (1.0 / (prob.p * prob.b)) ** (1.0 / (prob.p - 1.0))
+    assert 0.0 < roots[0] <= u_t <= roots[1]
+    assert roots[0] == pytest.approx(1.2048395491687406e-13, rel=1e-9, abs=0.0)
+    assert roots[1] == pytest.approx(1.2049423026763701e-13, rel=1e-9, abs=0.0)
+
+
+def test_radii_inner_root_to_rounding():
+    # p = 2: r^2 + r = u0 has the root 2 u0 / (1 + sqrt(1 + 4 u0))
+    for u0 in (1e-9, 1e-6, 1e-3):
+        r = radii_certificate(1.0, 1.0, u0, 2.0)
+        assert r.rho1 == pytest.approx(u0 / (1.0 + math.sqrt(1.0 + 4.0 * u0)), rel=1e-14, abs=0.0)
+
+
 def test_tangency_single_root():
     p, b = 2.0, 1.0
     u0 = critical_constant(p) / b  # exactly at the threshold

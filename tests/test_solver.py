@@ -188,6 +188,15 @@ class TestFoldSweep:
         for pt in sw.points:
             assert pt.n_found == (2 if pt.lam < sw.fold_estimate else 0), pt.lam
 
+    def test_scan_and_newton_second_find_the_same_branch(self, h_certified, kp, spec):
+        # the scan's second-branch search is the one newton_second runs
+        sw = fold_sweep(h_certified, 2.0, kp, 0.5, 1.5, 3)
+        pt = sw.points[1]
+        assert pt.lam == 1.0 and pt.n_found == 2
+        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
+        high = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
+        assert pt.sup_second == pytest.approx(high.u.sup_norm, rel=1e-12, abs=0.0)
+
     def test_unbracketed_fold_is_nan(self, h_certified, kp):
         sw = fold_sweep(h_certified, 2.0, kp, 0.1, 0.5, 3, scalar_model=True)
         assert not sw.bracketed
