@@ -29,7 +29,6 @@ from .greenop import (
 )
 from .kernels import (
     KernelParams,
-    PVConfig,
     distance_product_bound,
     frac_laplacian_pv,
     green_ball,
@@ -78,7 +77,6 @@ __all__ = [
     "KernelParams",
     "MembershipReport",
     "ProbeReport",
-    "PVConfig",
     "Radii",
     "ScalarProblem",
     "SolveResult",

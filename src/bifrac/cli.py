@@ -17,22 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .cone import ConeSpec, check_membership, sample_cone, verify_invariance
-from .greenop import (
-    GridFunction,
-    apply_green,
-    gamma_U,
-    make_grid,
-    operator_norm_b,
-    require_chebyshev,
-)
+from .greenop import GridFunction, apply_green, gamma_U, make_grid, operator_norm_b
 from .kernels import (
-    SOLVER_ALPHA_MAX,
-    SOLVER_ALPHA_MIN,
     KernelParams,
     green_ball,
     green_interval,
@@ -71,40 +62,99 @@ BATTERY_TOL = {
 }
 
 
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("true", "1", "yes", "on"):
+        return True
+    if t in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_amplitude(text: str):
+    return None if text.strip().lower() == "auto" else float(text)
+
+
+def _parse_tolerance(text: str) -> dict:
+    item, _, num = text.partition("=")
+    if not num or item not in (*BATTERY_TOL, "all"):
+        raise ValueError(f"expected ITEM=VALUE with ITEM in {sorted((*BATTERY_TOL, 'all'))}, got {text!r}")
+    return {item: float(num)}
+
+
+def _setting(flag: str, parse, help: str, commands=None, **argparse_kw) -> dict:
+    """Field metadata: the flag, the parser of its text, help, and the
+    subcommands that take it (None: all).  A config-file value goes
+    through the same parser under the field name as its key."""
+    return {"flag": flag, "parse": parse, "help": help, "commands": commands, "argparse": argparse_kw}
+
+
+_SWEEP = ("sweep",)
+
+
 @dataclass
 class RunConfig:
-    alpha: float = 1.5
-    p: float = 2.0
-    grid_n: int = 65
-    a_half: float = 0.5
-    h_profile: str = "bump"
-    h_amplitude: float | None = None  # None scales for certificate margin 1/2
-    h_csv: str | None = None
-    seed: int = 0
-    samples: int = 100
-    solve_tol: float = 1e-12
-    lambda_lo: float = 0.25
-    lambda_hi: float = 4.0
-    steps: int = 9
-    scalar: bool = False
-    output_dir: str | None = None
-    tolerances: dict = field(default_factory=dict)
+    """Settings of one run; each field's metadata declares its flag (see _setting)."""
 
-    def validate(self, solver: bool = True):
-        if solver and not SOLVER_ALPHA_MIN <= self.alpha <= SOLVER_ALPHA_MAX:
-            raise ValueError(
-                f"alpha must lie in [{SOLVER_ALPHA_MIN}, {SOLVER_ALPHA_MAX}], got {self.alpha}"
-            )
+    alpha: float = field(default=1.5, metadata=_setting("--alpha", float, "order of the operator"))
+    p: float = field(default=2.0, metadata=_setting("--p", float, "power of the nonlinearity"))
+    grid_n: int = field(default=65, metadata=_setting("--grid-n", int, "grid size (odd, >= 33)"))
+    a_half: float = field(
+        default=0.5, metadata=_setting("--a-half", float, "half-width of the core interval")
+    )
+    h_profile: str = field(
+        default="bump",
+        metadata=_setting("--h-profile", str, "named forcing profile", choices=sorted(PROFILES)),
+    )
+    # None scales for certificate margin 1/2
+    h_amplitude: float | None = field(
+        default=None, metadata=_setting("--h-amplitude", _parse_amplitude, "forcing amplitude, or 'auto'")
+    )
+    h_csv: str | None = field(
+        default=None, metadata=_setting("--h-csv", str, "forcing from a CSV file (overrides profile)")
+    )
+    seed: int = field(default=0, metadata=_setting("--seed", int, "seed for all sampling"))
+    samples: int = field(
+        default=100, metadata=_setting("--samples", int, "sample count for batteries and probes")
+    )
+    solve_tol: float = field(default=1e-12, metadata=_setting("--solve-tol", float, "fixed point tolerance"))
+    lambda_lo: float = field(
+        default=0.25, metadata=_setting("--lambda-lo", float, "lower end of the sweep", _SWEEP)
+    )
+    lambda_hi: float = field(
+        default=4.0, metadata=_setting("--lambda-hi", float, "upper end of the sweep", _SWEEP)
+    )
+    steps: int = field(default=9, metadata=_setting("--steps", int, "coarse sweep points", _SWEEP))
+    scalar: bool = field(
+        default=False,
+        metadata=_setting("--scalar", _parse_bool, "sweep the scalar model instead", _SWEEP,
+                          action="append_const", const="true"),
+    )
+    output_dir: str | None = field(
+        default=None, metadata=_setting("--outdir", str, "output directory (or $BIFRAC_OUTDIR)")
+    )
+    # file keys are tol_ITEM; file and flags merge item by item
+    tolerances: dict = field(
+        default_factory=dict,
+        metadata=_setting("--tol", _parse_tolerance, "battery tolerance override, ITEM may be 'all'",
+                          metavar="ITEM=VALUE"),
+    )
+
+    def validate(self):
+        """Reject settings the CLI cannot run on; the solver window and the
+        grid size are the library's own checks."""
+        self.kernel_params().require_solver_window()
+        make_grid(self.grid_n)
         if not 1.0 < self.p <= 4.0:
             raise ValueError(f"p must lie in (1, 4], got {self.p}")
-        if self.grid_n % 2 == 0 or self.grid_n < 33:
-            raise ValueError(f"grid_n must be odd and at least 33, got {self.grid_n}")
         if not 0.0 < self.a_half < 1.0:
             raise ValueError(f"a_half must lie in (0,1), got {self.a_half}")
         if self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples}")
         if self.h_profile not in PROFILES:
             raise ValueError(f"unknown profile {self.h_profile!r}, pick from {sorted(PROFILES)}")
+        if self.h_amplitude is not None and not (math.isfinite(self.h_amplitude) and self.h_amplitude >= 0):
+            raise ValueError(f"h_amplitude must be finite and >= 0, got {self.h_amplitude}")
         for name in ("lambda_lo", "lambda_hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -119,34 +169,6 @@ class RunConfig:
 
     def tol(self, item: str) -> float:
         return float(self.tolerances.get(item, self.tolerances.get("all", BATTERY_TOL[item])))
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        out["tolerances"] = dict(self.tolerances)
-        return out
-
-
-_FIELD_PARSERS = {
-    "alpha": float, "p": float, "grid_n": int, "a_half": float,
-    "h_profile": str, "h_csv": str, "seed": int, "samples": int,
-    "solve_tol": float, "lambda_lo": float, "lambda_hi": float, "steps": int,
-    "output_dir": str,
-}
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_amplitude(text: str):
-    return None if text.strip().lower() == "auto" else float(text)
 
 
 def read_config_file(path: str) -> dict:
@@ -164,35 +186,33 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _apply_setting(cfg: RunConfig, key: str, val: str):
-    if key in _FIELD_PARSERS:
-        setattr(cfg, key, _FIELD_PARSERS[key](val))
-    elif key == "h_amplitude":
-        cfg.h_amplitude = _parse_amplitude(val)
-    elif key == "scalar":
-        cfg.scalar = _parse_bool(val)
-    elif key == "tol_all":
-        cfg.tolerances["all"] = float(val)
-    elif key.startswith("tol_") and key[4:] in BATTERY_TOL:
-        cfg.tolerances[key[4:]] = float(val)
-    else:
-        raise ValueError(f"unknown config key {key!r}")
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, then the config file, then explicit flags."""
+    """Layer defaults, then the config file, then explicit flags.
+
+    Flag text and file values go through the parser their field declares;
+    each setting names its source (flag or file key) in its errors.
+    """
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in read_config_file(args.config).items():
-            _apply_setting(cfg, key, val)
-    for key in (*_FIELD_PARSERS, "scalar"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    if getattr(args, "h_amplitude", None) is not None:
-        cfg.h_amplitude = _parse_amplitude(args.h_amplitude)
-    for item, flag in (getattr(args, "tol", None) or {}).items():
-        cfg.tolerances[item] = flag
+    by_name = {f.name: f for f in fields(cfg)}
+    settings = []
+    for key, text in (read_config_file(args.config) if args.config else {}).items():
+        name = key
+        if key.startswith("tol_"):  # tol_ITEM = VALUE reads as --tol ITEM=VALUE
+            name, text = "tolerances", f"{key[4:]}={text}"
+        if name not in by_name or key == "tolerances":
+            raise ValueError(f"unknown config key {key!r}")
+        settings.append((key, by_name[name], text))
+    for f in by_name.values():
+        settings += [(f.metadata["flag"], f, text) for text in getattr(args, f.name, None) or []]
+    for source, f, text in settings:
+        try:
+            value = f.metadata["parse"](text)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+        if isinstance(value, dict):
+            getattr(cfg, f.name).update(value)
+        else:
+            setattr(cfg, f.name, value)
     return cfg
 
 
@@ -220,7 +240,7 @@ def _jsonable(obj):
 def write_report(path: str, payload: dict, cfg: RunConfig):
     doc = dict(payload)
     doc["schema"] = 1
-    doc["config"] = cfg.to_dict()
+    doc["config"] = asdict(cfg)
     with open(path, "w") as fh:
         json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -230,7 +250,9 @@ def build_forcing(cfg: RunConfig, kp: KernelParams) -> GridFunction:
     """The forcing h from the configured profile or CSV file."""
     if cfg.h_csv is not None:
         h = GridFunction.read_csv(cfg.h_csv)
-        require_chebyshev(h.grid)
+        if h.grid.n != cfg.grid_n:
+            # the report embeds grid_n, so it must be the size of the run
+            raise ValueError(f"{cfg.h_csv} has {h.grid.n} nodes but grid_n is {cfg.grid_n}")
         return h
     grid = make_grid(cfg.grid_n)
     profile = GridFunction.from_callable(grid, lambda x: PROFILES[cfg.h_profile](x, kp.alpha))
@@ -241,10 +263,6 @@ def build_forcing(cfg: RunConfig, kp: KernelParams) -> GridFunction:
     b = operator_norm_b(kp, cfg.p)
     amp = (critical_constant(cfg.p) / (2.0 * b)) ** (1.0 / (cfg.p - 1.0)) / s
     return profile.with_values(amp * profile.values)
-
-
-def _cone_spec(cfg: RunConfig, kp: KernelParams) -> ConeSpec:
-    return ConeSpec.for_kernel(kp, a_half=cfg.a_half)
 
 
 def cmd_kernel(cfg: RunConfig, args) -> int:
@@ -284,7 +302,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     cfg.validate()
     kp = cfg.kernel_params()
     h = build_forcing(cfg, kp)
-    report = certify(h, cfg.p, _cone_spec(cfg, kp), kp)
+    report = certify(h, cfg.p, ConeSpec.for_kernel(kp, a_half=cfg.a_half), kp)
     write_report(
         os.path.join(_resolve_outdir(cfg), "certificate.json"),
         {"certificate": report.to_dict()},
@@ -296,7 +314,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 def cmd_solve(cfg: RunConfig, args) -> int:
     cfg.validate()
     kp = cfg.kernel_params()
-    spec = _cone_spec(cfg, kp)
+    spec = ConeSpec.for_kernel(kp, a_half=cfg.a_half)
     h = build_forcing(cfg, kp)
     outdir = _resolve_outdir(cfg)
     cert = certify(h, cfg.p, spec, kp)
@@ -363,7 +381,7 @@ def lemma_battery(cfg: RunConfig) -> dict:
     cfg.validate()
     kp = cfg.kernel_params()
     grid = make_grid(cfg.grid_n)
-    spec = _cone_spec(cfg, kp)
+    spec = ConeSpec.for_kernel(kp, a_half=cfg.a_half)
     items = {}
 
     g1 = gamma_U(cfg.a_half, kp)
@@ -486,36 +504,21 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return 0 if result.bracketed else 1
 
 
-class _TolAction(argparse.Action):
-    def __call__(self, parser, namespace, value, option_string=None):
-        store = getattr(namespace, self.dest, None) or {}
-        item, _, num = value.partition("=")
-        if not num or item not in (*BATTERY_TOL, "all"):
-            raise argparse.ArgumentError(
-                self, f"expected ITEM=VALUE with ITEM in {sorted((*BATTERY_TOL, 'all'))}"
-            )
-        try:
-            store[item] = float(num)
-        except ValueError:
-            raise argparse.ArgumentError(self, f"bad tolerance value {num!r}") from None
-        setattr(namespace, self.dest, store)
+def _add_settings(parser: argparse.ArgumentParser, settings, commands=None):
+    """Flags of the settings declared for `commands` (None: every subcommand)."""
+    for f in settings:
+        meta = f.metadata
+        if meta["commands"] == commands:
+            kw = {"action": "append", **meta["argparse"]}
+            parser.add_argument(meta["flag"], dest=f.name, help=meta["help"], **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every setting flag appends its text; build_config parses and layers it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--alpha", type=float, help="order of the operator")
-    common.add_argument("--p", type=float, help="power of the nonlinearity")
-    common.add_argument("--grid-n", type=int, dest="grid_n", help="grid size (odd, >= 33)")
-    common.add_argument("--a-half", type=float, dest="a_half", help="half-width of the core interval")
-    common.add_argument("--seed", type=int, help="seed for all sampling")
-    common.add_argument("--samples", type=int, help="sample count for batteries and probes")
-    common.add_argument("--h-profile", dest="h_profile", choices=sorted(PROFILES), help="named forcing profile")
-    common.add_argument("--h-amplitude", dest="h_amplitude", help="forcing amplitude, or 'auto'")
-    common.add_argument("--h-csv", dest="h_csv", help="forcing from a CSV file (overrides profile)")
-    common.add_argument("--solve-tol", type=float, dest="solve_tol", help="fixed point tolerance")
-    common.add_argument("--outdir", dest="output_dir", help="output directory (or $BIFRAC_OUTDIR)")
-    common.add_argument("--tol", action=_TolAction, metavar="ITEM=VALUE", help="battery tolerance override, ITEM may be 'all'")
+    settings = fields(RunConfig)
+    _add_settings(common, settings)
 
     parser = argparse.ArgumentParser(prog="bifrac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -536,10 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_lemmas)
 
     pw = sub.add_parser("sweep", parents=[common], help="sweep the forcing amplitude for the fold")
-    pw.add_argument("--lambda-lo", type=float, dest="lambda_lo", help="lower end of the sweep")
-    pw.add_argument("--lambda-hi", type=float, dest="lambda_hi", help="upper end of the sweep")
-    pw.add_argument("--steps", type=int, help="coarse sweep points")
-    pw.add_argument("--scalar", action="store_const", const=True, help="sweep the scalar model instead")
+    _add_settings(pw, settings, _SWEEP)
     pw.set_defaults(func=cmd_sweep)
 
     return parser

@@ -1,9 +1,10 @@
 """Discrete Green operator on (-1,1) and the constants it induces.
 
 The operator u(x) = int G(x,y) f(y) dy is discretized by collocation at
-Chebyshev extrema: applying the matrix to node values of f gives G applied
-to the polynomial interpolant of f, at the nodes.  No quadrature is
-involved.  The weighted Jacobi polynomials are eigenfunctions of the
+the n Chebyshev extrema, so a grid is fixed by its size and the operator
+is cached by (n, alpha).  Applying the matrix to node values of f gives G
+applied to the polynomial interpolant of f, at the nodes.  No quadrature
+is involved.  The weighted Jacobi polynomials are eigenfunctions of the
 operator (Dyda 2012; Acosta, Borthagaray, Bruno & Maas 2018):
 
     (-Delta)^(alpha/2) [(1-x^2)^s P_k^(s,s)] = lambda_k P_k^(s,s),
@@ -34,7 +35,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "make_grid",
-    "require_chebyshev",
     "GreenOperator",
     "get_operator",
     "apply_green",
@@ -48,70 +48,38 @@ MIN_GRID = 33
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing symmetric nodes on [-1,1] with both endpoints."""
+    """Chebyshev-extrema grid with n nodes, n odd and >= 33.
 
-    nodes: np.ndarray
+    The size fixes the nodes: x_k = sin(pi (2k-(n-1)) / (2(n-1))).  The
+    sine form is exactly antisymmetric in k, so the grid is symmetric to
+    the last bit and contains 0.  Build grids with make_grid(n).
+    """
+
+    n: int
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("grid needs a 1-d array of at least 3 nodes")
-        if not (np.diff(nodes) > 0).all():
-            raise ValueError("grid nodes must be strictly increasing")
-        if nodes[0] != -1.0 or nodes[-1] != 1.0:
-            raise ValueError("grid must include both endpoints -1 and 1")
-        if np.abs(nodes + nodes[::-1]).max() > 1e-15:
-            raise ValueError("grid must be symmetric about 0")
+        n = self.n
+        if n < MIN_GRID:
+            raise ValueError(f"grid needs at least {MIN_GRID} nodes, got {n}")
+        if n % 2 == 0:
+            raise ValueError(f"grid size must be odd so 0 is a node, got {n}")
+        k = np.arange(n)
+        nodes = np.sin(np.pi * (2 * k - (n - 1)) / (2 * (n - 1)))
+        nodes[0] = -1.0
+        nodes[-1] = 1.0
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-    @property
-    def min_spacing(self) -> float:
-        return float(np.diff(self.nodes).min())
 
     def refine(self) -> "Grid":
         """Next nested grid, 2n-1 nodes; even indices recover this grid."""
         return make_grid(2 * self.n - 1)
 
 
-_GRIDS: dict = {}
-
-
+@functools.cache
 def make_grid(n: int) -> Grid:
-    """Chebyshev-extrema grid with n nodes, n odd and >= 33.
-
-    Uses the sine form x_k = sin(pi (2k-(n-1)) / (2(n-1))), which is
-    exactly antisymmetric in k so the grid is symmetric to the last bit
-    and contains 0.  Grids are immutable, so each size is built once and
-    the same object is returned on every call.
-    """
-    grid = _GRIDS.get(n)
-    if grid is not None:
-        return grid
-    if n < MIN_GRID:
-        raise ValueError(f"grid needs at least {MIN_GRID} nodes, got {n}")
-    if n % 2 == 0:
-        raise ValueError(f"grid size must be odd so 0 is a node, got {n}")
-    k = np.arange(n)
-    nodes = np.sin(np.pi * (2 * k - (n - 1)) / (2 * (n - 1)))
-    nodes[0] = -1.0
-    nodes[-1] = 1.0
-    return _GRIDS.setdefault(n, Grid(nodes))
-
-
-def require_chebyshev(grid: Grid) -> None:
-    """Raise ValueError unless grid holds the nodes of make_grid(grid.n).
-
-    The Green operator is built on Chebyshev nodes and cached by size, so
-    any other node set of that size would silently get the wrong matrix.
-    """
-    ref = make_grid(grid.n)
-    if grid is not ref and np.abs(grid.nodes - ref.nodes).max() > 1e-15:
-        raise ValueError(f"grid nodes must be the Chebyshev nodes of make_grid({grid.n})")
+    """The grid of size n; grids are immutable, so each size is built once."""
+    return Grid(n)
 
 
 @dataclass(eq=False)
@@ -152,16 +120,22 @@ class GridFunction:
 
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
-        xs, vs = [], []
+        """Read an x,value file whose x column holds the nodes of make_grid(rows).
+
+        The operator is cached by grid size, so any other nodes would
+        silently get the Chebyshev matrix: they raise ValueError instead.
+        """
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["x", "value"]:
-                raise ValueError(f"expected header x,value, got {header}")
-            for row in reader:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-        return cls(Grid(np.asarray(xs)), np.asarray(vs))
+            header, *rows = list(csv.reader(fh)) or [[]]
+        if header[:2] != ["x", "value"]:
+            raise ValueError(f"{path}: expected header x,value, got {header}")
+        if any(len(row) < 2 for row in rows):
+            raise ValueError(f"{path}: every row needs an x and a value")
+        grid = make_grid(len(rows))
+        xs = np.array([float(row[0]) for row in rows])
+        if not np.abs(xs - grid.nodes).max() <= 1e-15:
+            raise ValueError(f"{path}: nodes must be the Chebyshev nodes of make_grid({grid.n})")
+        return cls(grid, [float(row[1]) for row in rows])
 
 
 def _jacobi_vandermonde(x: np.ndarray, n: int, s: float) -> np.ndarray:
@@ -219,10 +193,9 @@ def _build_operator(n: int, kp: KernelParams) -> GreenOperator:
 def get_operator(grid: Grid, kp: KernelParams) -> GreenOperator:
     """Cached operator per (grid size, order); construction is deterministic.
 
-    The grid must be make_grid(n) or carry its nodes (ValueError otherwise).
-    The cache keeps the 16 most recently used operators.
+    A grid is fixed by its size, so the size is the key.  The cache keeps
+    the 16 most recently used operators.
     """
-    require_chebyshev(grid)
     return _build_operator(grid.n, kp)
 
 

@@ -29,7 +29,6 @@ from scipy.special import hyp2f1, roots_jacobi
 
 __all__ = [
     "KernelParams",
-    "PVConfig",
     "norm_const",
     "green_const",
     "poisson_const",
@@ -67,32 +66,6 @@ class KernelParams:
                 f"solver supports alpha in [{SOLVER_ALPHA_MIN}, "
                 f"{SOLVER_ALPHA_MAX}], got {self.alpha}"
             )
-
-
-@dataclass(frozen=True)
-class PVConfig:
-    """Cutoff setting for the principal-value evaluator.
-
-    epsilon = None resolves to one quarter of the minimum node spacing of
-    the grid at hand; an explicit value must stay below half the minimum
-    spacing so the cutoff ball never swallows a node.
-    """
-
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    def resolve_epsilon(self, min_spacing: float) -> float:
-        if self.epsilon is None:
-            return 0.25 * min_spacing
-        if self.epsilon >= 0.5 * min_spacing:
-            raise ValueError(
-                f"epsilon {self.epsilon} must be below half the minimum "
-                f"node spacing {min_spacing}"
-            )
-        return self.epsilon
 
 
 def norm_const(d: int, gamma: float) -> float:
@@ -295,13 +268,14 @@ def poisson_total_mass(x: float, r: float, kp: KernelParams) -> float:
     return amp * (one_tail(x) + one_tail(-x))
 
 
-def frac_laplacian_pv(u, x: float, kp: KernelParams, cfg: PVConfig | None = None) -> float:
+def frac_laplacian_pv(u, x: float, kp: KernelParams) -> float:
     """(-Delta)^(alpha/2) of a grid function at an interior point x.
 
-    u is a GridFunction (extends by zero outside [-1,1]).  The integral is
-    split three ways: the ball |y-x| < eps contributes the even Taylor
-    correction -u''(x) eps^(2-alpha)/(2-alpha) (odd orders cancel in the
-    principal value), the exterior |y| > 1 contributes exactly
+    u is a GridFunction (extends by zero outside [-1,1]).  The cutoff eps
+    is a quarter of the minimum node spacing, so the ball |y-x| < eps never
+    holds a node.  The integral is split three ways: the ball contributes
+    the even Taylor correction -u''(x) eps^(2-alpha)/(2-alpha) (odd orders
+    cancel in the principal value), the exterior |y| > 1 contributes exactly
     u(x) [(1-x)^(-alpha) + (1+x)^(-alpha)]/alpha, and the rest is graded
     Gauss-Legendre on a cubic spline of the node values.
 
@@ -310,13 +284,11 @@ def frac_laplacian_pv(u, x: float, kp: KernelParams, cfg: PVConfig | None = None
     """
     from scipy.interpolate import CubicSpline
 
-    if cfg is None:
-        cfg = PVConfig()
     alpha = kp.alpha
     nodes = u.grid.nodes
     values = u.values
     gaps = np.diff(nodes)
-    eps = cfg.resolve_epsilon(float(gaps.min()))
+    eps = 0.25 * float(gaps.min())
 
     x = float(x)
     if not -1.0 < x < 1.0:

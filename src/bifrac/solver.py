@@ -23,7 +23,7 @@ import numpy as np
 
 from .cone import ConeSpec, check_membership, sample_cone
 from .greenop import GridFunction, apply_green, coercivity_a, get_operator, operator_norm_b
-from .kernels import KernelParams, PVConfig, frac_laplacian_pv
+from .kernels import KernelParams, frac_laplacian_pv
 from .scalar import (
     CertificateFailure,
     Radii,
@@ -362,7 +362,6 @@ def residual_strong(
     h: GridFunction,
     p: float,
     kp: KernelParams,
-    cfg: PVConfig | None = None,
     probes=(0.0, 0.25, -0.25, 0.5, -0.5),
 ) -> float:
     """Pointwise residual of the differential equation at the probe points.
@@ -378,7 +377,7 @@ def residual_strong(
     sh = CubicSpline(h.grid.nodes, h.values)
     worst = 0.0
     for x in probes:
-        lap = frac_laplacian_pv(u, x, kp, cfg)
+        lap = frac_laplacian_pv(u, x, kp)
         rhs = float(su(x)) ** p + float(sh(x))
         worst = max(worst, abs(lap - rhs))
     result.strong_residual = worst

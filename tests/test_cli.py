@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import bifrac
-from bifrac import solver
-from bifrac.cli import main
+from bifrac import cli, solver
+from bifrac.cli import RunConfig, main
 from bifrac.greenop import GridFunction, make_grid
 
 
@@ -63,8 +65,10 @@ class TestExitCodes:
             ["sweep", "--lambda-hi", "inf"],
             ["solve", "--solve-tol", "nan"],
             ["lemmas", "--tol", "all=nan"],
+            ["certify", "--h-amplitude", "inf"],
+            ["certify", "--h-amplitude", "nan"],
         ],
-        ids=["lambda-hi-inf", "solve-tol-nan", "tol-nan"],
+        ids=["lambda-hi-inf", "solve-tol-nan", "tol-nan", "h-amplitude-inf", "h-amplitude-nan"],
     )
     def test_usage_error_bad_number(self, tmp_path, capsys, argv):
         # such numbers would run on to a wrong report
@@ -78,6 +82,21 @@ class TestExitCodes:
         (tmp_path / "h.csv").write_text("x,value\n" + rows)
         assert run(tmp_path, "certify", "--h-csv", str(tmp_path / "h.csv")) == 2
         assert "make_grid(65)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "x,value\n0.5\n"], ids=["empty", "one-field-row"])
+    def test_usage_error_malformed_csv(self, tmp_path, capsys, text):
+        (tmp_path / "h.csv").write_text(text)
+        assert run(tmp_path, "certify", "--h-csv", str(tmp_path / "h.csv")) == 2
+        assert "h.csv" in capsys.readouterr().err
+
+    def test_usage_error_csv_size_differs_from_grid_n(self, tmp_path, capsys):
+        # the report embeds grid_n, so it has to be the size the run used
+        g = make_grid(129)
+        GridFunction(g, 0.05 * (1 - g.nodes**2)).write_csv(tmp_path / "h.csv")
+        assert run(tmp_path, "solve", "--h-csv", str(tmp_path / "h.csv")) == 2
+        err = capsys.readouterr().err
+        assert "129" in err and "65" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestKernel:
@@ -209,6 +228,31 @@ class TestConfigPlumbing:
         assert run(tmp_path, "lemmas", "--samples", "30",
                    "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize("amplitude", [0.01, None], ids=["number", "auto"])
+    def test_every_field_round_trips_from_a_config_file(self, tmp_path, amplitude):
+        g = make_grid(33)
+        GridFunction(g, 0.01 * (1 - g.nodes**2)).write_csv(tmp_path / "h.csv")
+        settings = {
+            "alpha": 1.4, "p": 2.5, "grid_n": 33, "a_half": 0.4, "h_profile": "torsion",
+            "h_amplitude": amplitude, "h_csv": str(tmp_path / "h.csv"), "seed": 3,
+            "samples": 7, "solve_tol": 1e-10, "lambda_lo": 0.5, "lambda_hi": 3.0,
+            "steps": 5, "scalar": True, "output_dir": str(tmp_path),
+        }
+        lines = [f"{k} = {'auto' if v is None else v}" for k, v in settings.items()]
+        (tmp_path / "run.cfg").write_text("\n".join([*lines, "tol_all = 0.1", "tol_poisson = 1e-3"]))
+        assert main(["certify", "--config", str(tmp_path / "run.cfg")]) == 0
+        got = read_json(tmp_path, "certificate.json")["config"]
+        assert got == {**settings, "tolerances": {"all": 0.1, "poisson": 1e-3}}
+        assert set(got) == {f.name for f in fields(RunConfig)}
+
+    def test_tolerance_flags_merge_over_file_items(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_poisson = 1e-3\ntol_kul = 1e-9\n")
+        assert run(tmp_path, "certify", "--config", str(cfg), "--tol", "all=0.1",
+                   "--tol", "kul=1e-8") == 0
+        got = read_json(tmp_path, "certificate.json")["config"]["tolerances"]
+        assert got == {"poisson": 1e-3, "kul": 1e-8, "all": 0.1}
+
     def test_outdir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIFRAC_OUTDIR", str(tmp_path))
         assert main(["certify"]) == 0
@@ -221,6 +265,33 @@ class TestConfigPlumbing:
         assert run(tmp_path, "certify") == 0
         assert (tmp_path / "certificate.json").exists()
         assert not (other / "certificate.json").exists()
+
+
+COMMON_FLAGS = {
+    "-h": None, "--help": None, "--config": None, "--alpha": None, "--p": None,
+    "--grid-n": None, "--a-half": None, "--seed": None, "--samples": None,
+    "--h-profile": ["bump", "plateau", "torsion"], "--h-amplitude": None, "--h-csv": None,
+    "--solve-tol": None, "--outdir": None, "--tol": None,
+}
+
+
+class TestSurface:
+    def test_option_strings_and_choices(self):
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: {opt: a.choices and sorted(a.choices) for a in p._actions for opt in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        kernel = {"--green": None, "--w": None, "--poisson": None}
+        sweep = {"--lambda-lo": None, "--lambda-hi": None, "--steps": None, "--scalar": None}
+        assert surface == {
+            "kernel": {**COMMON_FLAGS, **kernel},
+            "certify": COMMON_FLAGS,
+            "solve": COMMON_FLAGS,
+            "lemmas": COMMON_FLAGS,
+            "sweep": {**COMMON_FLAGS, **sweep},
+        }
 
 
 class TestDeterminism:

@@ -8,7 +8,6 @@ from scipy.special import eval_jacobi
 
 from bifrac import greenop
 from bifrac.greenop import (
-    Grid,
     GridFunction,
     apply_green,
     coercivity_a,
@@ -24,6 +23,10 @@ from conftest import torsion_exact
 from panel_quadrature import green_matrix_row, green_row_integral
 
 ORDERS = (1.05, 1.5, 1.95)
+
+
+def write_nodes(path, nodes):
+    path.write_text("x,value\n" + "".join(f"{x!r},{1 - x * x!r}\n" for x in nodes.tolist()))
 
 
 class TestGrid:
@@ -50,10 +53,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(31)
 
-    def test_grid_rejects_asymmetric_nodes(self):
-        nodes = np.concatenate([[-1.0], np.linspace(-0.9, 0.95, 30), [1.0]])
-        with pytest.raises(ValueError):
-            Grid(nodes)
+    def test_grid_rejects_asymmetric_nodes(self, tmp_path):
+        # outside nodes arrive only through read_csv, which maps them onto
+        # make_grid(rows) and rejects any that differ
+        nodes = np.concatenate([[-1.0], np.linspace(-0.9, 0.95, 31), [1.0]])
+        write_nodes(tmp_path / "h.csv", nodes)
+        with pytest.raises(ValueError, match=r"make_grid\(33\)"):
+            GridFunction.read_csv(tmp_path / "h.csv")
 
     def test_values_are_frozen(self):
         g = make_grid(65)
@@ -69,7 +75,7 @@ class TestGrid:
         path = tmp_path / "u.csv"
         u.write_csv(path)
         back = GridFunction.read_csv(path)
-        assert np.array_equal(back.grid.nodes, g.nodes)
+        assert back.grid is make_grid(65)
         assert np.array_equal(back.values, u.values)
 
 
@@ -110,15 +116,21 @@ class TestOperator:
     def test_operator_cache_identity(self, grid65, kp):
         assert get_operator(grid65, kp) is get_operator(make_grid(65), kp)
 
-    def test_non_chebyshev_grid_rejected(self, grid65, kp):
+    def test_non_chebyshev_grid_rejected(self, grid65, tmp_path):
         # the operator is cached by size; uniform nodes of that size would
         # get the Chebyshev matrix, 18 % off on 1 - x^2
-        uniform = Grid(np.linspace(-1.0, 1.0, 65))
+        write_nodes(tmp_path / "uniform.csv", np.linspace(-1.0, 1.0, 65))
         with pytest.raises(ValueError, match=r"make_grid\(65\)"):
-            apply_green(GridFunction(uniform, 1 - uniform.nodes**2), kp)
-        # an equal copy of the Chebyshev nodes is accepted
-        copy = Grid(grid65.nodes.copy())
-        assert get_operator(copy, kp) is get_operator(grid65, kp)
+            GridFunction.read_csv(tmp_path / "uniform.csv")
+        # a NaN node fails every comparison, so it must not pass as within tolerance
+        nodes = grid65.nodes.copy()
+        nodes[3] = np.nan
+        write_nodes(tmp_path / "nan.csv", nodes)
+        with pytest.raises(ValueError, match=r"make_grid\(65\)"):
+            GridFunction.read_csv(tmp_path / "nan.csv")
+        # nodes within 1e-15 of the Chebyshev nodes are accepted
+        write_nodes(tmp_path / "near.csv", grid65.nodes + 5e-16 * np.sign(grid65.nodes))
+        assert GridFunction.read_csv(tmp_path / "near.csv").grid is grid65
 
     def test_positivity(self, grid65, kp):
         f = GridFunction(grid65, np.abs(np.sin(7 * grid65.nodes)))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bifrac.kernels import (
     KernelParams,
-    PVConfig,
     distance_product_bound,
     frac_laplacian_pv,
     green_ball,
@@ -266,11 +265,3 @@ class TestPrincipalValue:
             frac_laplacian_pv(u, 0.9999, kp)
         with pytest.raises(ValueError):
             frac_laplacian_pv(u, -1.0, kp)
-
-    def test_epsilon_validation(self, grid65, kp):
-        u = GridFunction(grid65, np.ones(65))
-        too_big = PVConfig(epsilon=grid65.min_spacing)
-        with pytest.raises(ValueError):
-            frac_laplacian_pv(u, 0.0, kp, too_big)
-        explicit = PVConfig(epsilon=0.2 * grid65.min_spacing)
-        assert np.isfinite(frac_laplacian_pv(u, 0.0, kp, explicit))
