@@ -149,6 +149,8 @@ class RunConfig:
             raise ValueError(f"p must lie in (1, 4], got {self.p}")
         if not 0.0 < self.a_half < 1.0:
             raise ValueError(f"a_half must lie in (0,1), got {self.a_half}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples}")
         if self.h_profile not in PROFILES:

@@ -13,9 +13,9 @@ operator (Dyda 2012; Acosta, Borthagaray, Bruno & Maas 2018):
 so with V_jk = P_k^(s,s)(x_j) the matrix is
 diag((1-x^2)^s) V diag(1/lambda) V^-1.
 
-Also computes the three constants the existence argument runs on: the
-growth constant b = (G1)(0) = 1/Gamma(1+alpha), the kernel ratio gamma_U,
-and the coercivity constant a = gamma_U^p int_U G(0,y) dy.
+Also computes, each in closed form, the three constants the existence
+argument runs on: the growth constant b = (G1)(0) = 1/Gamma(1+alpha), the
+kernel ratio gamma_U and the coercivity constant a = gamma_U^p int_U G(0,y) dy.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
+from scipy.special import hyp2f1
 
 from .kernels import KernelParams, green_ball, green_const
 
@@ -235,28 +234,24 @@ def gamma_U(a_half: float, kp: KernelParams) -> float:
 
 
 def _core_mass(a_half: float, kp: KernelParams) -> float:
-    """int_{-a_half}^{a_half} G(0,y) dy: a closed form plus one Gauss rule.
+    """int_{-a_half}^{a_half} G(0,y) dy in closed form.
 
-    For |y| <= 1/sqrt(2), w(0,y) >= 1 and green_ball's split gives
-    G(0,y) = c [S(y) + B(s, 1/2-s) |y|^(alpha-1)] with S analytic: the cusp
-    term integrates exactly and S by 32-point Gauss-Legendre.  For a wider
-    core the mass is b minus the two tails, int_{a_half}^1 G(0,y) dy with
-    G(0,y) = (c/s) (1-y^2)^s / y 2F1(1/2, s; s+1; -(1-y^2)/y^2) there: a
-    32-point Gauss-Jacobi rule with weight (1-y)^s absorbs the edge.
+    With w = (1-y^2)/y^2, G(0,y) = c y^(alpha-1) I(w) for y > 0, and
+    d/dy I(w) = -2 (1-y^2)^(s-1) y^(-alpha).  Integrating by parts
+    against y^(alpha-1) = d/dy (y^alpha/alpha), the boundary term at 0
+    vanishes (alpha > 1), int_0^a (1-y^2)^(s-1) dy = a 2F1(1/2, 1-s; 3/2; a^2)
+    is what remains, and
+
+        int_{-a}^{a} G(0,y) dy = (2a/alpha) [G(a,0) + 2c 2F1(1/2, 1-s; 3/2; a^2)],
+
+    s = alpha/2, c = green_const.  Check at a -> 1: G(1,0) = 0, and Gauss's
+    summation theorem with the duplication formula turns the right side
+    into b = 1/Gamma(1+alpha), the mass of the whole interval.
     """
-    alpha, s = kp.alpha, kp.alpha / 2.0
-    if a_half <= math.sqrt(0.5):
-        cusp = green_const(kp) * math.gamma(s) * math.gamma(0.5 - s) / math.sqrt(math.pi)
-        t, wt = leggauss(32)
-        y = a_half * t
-        smooth = green_ball(0.0, y, kp) - cusp * np.abs(y) ** (alpha - 1.0)
-        return a_half * float(wt @ smooth) + 2.0 * cusp * a_half**alpha / alpha
-    t, wt = roots_jacobi(32, s, 0.0)
-    half = 0.5 * (1.0 - a_half)
-    y = a_half + half * (1.0 + t)
-    edge = (half * (1.0 - t)) ** s  # (1-y)^s
-    tail = half ** (s + 1.0) * float(wt @ (green_ball(0.0, y, kp) / edge))
-    return 1.0 / math.gamma(1.0 + alpha) - 2.0 * tail
+    alpha = kp.alpha
+    edge = green_ball(a_half, 0.0, kp)
+    series = hyp2f1(0.5, 1.0 - alpha / 2.0, 1.5, a_half * a_half)
+    return float(2.0 * a_half / alpha * (edge + 2.0 * green_const(kp) * series))
 
 
 def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
@@ -264,8 +259,8 @@ def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
 
     Bounds G(u^p)(0) from below by a |u|^p for cone members: on U the
     values of u are at least gamma_U |u|.  Never exceeds operator_norm_b.
-    The core mass is computed in closed form up to one 32-point Gauss
-    rule on an analytic integrand (see _core_mass).
+    The core mass is a closed form in G(a_half,0) and one hypergeometric
+    value (see _core_mass), so no quadrature is involved.
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")

@@ -15,6 +15,7 @@ __all__ = [
     "Radii",
     "CertificateFailure",
     "critical_constant",
+    "tangency_amplitude",
     "scalar_roots",
     "radii_certificate",
 ]
@@ -91,6 +92,11 @@ def critical_constant(p: float) -> float:
     return (q ** ((1.0 - p) / p) + q ** (1.0 / p)) ** (-p)
 
 
+def tangency_amplitude(b: float, p: float) -> float:
+    """u_t = (1/(p*b))^(1/(p-1)), where b*u^p - u is smallest on u >= 0."""
+    return (1.0 / (p * b)) ** (1.0 / (p - 1.0))
+
+
 def _convex_root(f, df, x):
     """Root of a convex f by Newton's method from x with f(x) >= 0.
 
@@ -123,7 +129,7 @@ def scalar_roots(prob: ScalarProblem) -> list[float]:
     g = lambda u: b * u**p + u0 - u
     dg = lambda u: p * b * u ** (p - 1.0) - 1.0
 
-    u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
+    u_t = tangency_amplitude(b, p)
     g_min = g(u_t)
 
     if g_min > 0.0:

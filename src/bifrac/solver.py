@@ -17,7 +17,7 @@ Moore-Spence extended system (Moore & Spence, SIAM J. Numer. Anal. 17,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .scalar import (
     critical_constant,
     radii_certificate,
     scalar_roots,
+    tangency_amplitude,
 )
 
 __all__ = [
@@ -89,27 +90,25 @@ class CertificateReport:
             "margin": self.margin,
         }
         if self.radii is not None:
-            out["radii"] = {
-                "rho1": self.radii.rho1,
-                "rho2": self.radii.rho2,
-                "rho3": self.radii.rho3,
-            }
+            out["radii"] = asdict(self.radii)
         if self.failure is not None:
             out["failure"] = self.failure.kind
         return out
 
 
+def _require_forcing_shape(h: GridFunction, tol: float = 1e-12):
+    """Raise ValueError unless h has the cone shape; a forcing need not meet the ratio floor."""
+    rep = check_membership(h, ConeSpec(gamma=0.0, tol=tol))
+    if not rep.member:
+        raise ValueError(f"forcing must be nonnegative, even and unimodal: {rep.violations}")
+
+
 def certify(h: GridFunction, p: float, spec: ConeSpec, kp: KernelParams) -> CertificateReport:
     """Run the radii certificate for the forcing h.
 
-    h must itself have the cone shape (the ratio floor is not required
-    of the forcing); otherwise the problem leaves the framework and a
-    ValueError is raised.
+    A forcing without the cone shape leaves the framework and raises ValueError.
     """
-    shape_spec = ConeSpec(a_half=spec.a_half, gamma=0.0, tol=max(spec.tol, 1e-12))
-    rep = check_membership(h, shape_spec)
-    if not rep.member:
-        raise ValueError(f"forcing must be nonnegative, even and unimodal: {rep.violations}")
+    _require_forcing_shape(h, max(spec.tol, 1e-12))
     u0 = apply_green(h, kp)
     b = operator_norm_b(kp, p)
     a = coercivity_a(spec.a_half, p, kp)
@@ -117,14 +116,11 @@ def certify(h: GridFunction, p: float, spec: ConeSpec, kp: KernelParams) -> Cert
     u0_sup = u0.sup_norm
     lhs = b * u0_sup ** (p - 1.0)
     res = radii_certificate(a, b, u0_sup, p)
-    if isinstance(res, Radii):
-        return CertificateReport(
-            b=b, a_coerc=a, c_p=c_p, u0_sup=u0_sup, lhs=lhs,
-            passed=True, margin=(c_p - lhs) / c_p, radii=res,
-        )
+    passed = isinstance(res, Radii)
     return CertificateReport(
-        b=b, a_coerc=a, c_p=c_p, u0_sup=u0_sup, lhs=lhs,
-        passed=False, margin=res.margin, failure=res,
+        b=b, a_coerc=a, c_p=c_p, u0_sup=u0_sup, lhs=lhs, passed=passed,
+        margin=(c_p - lhs) / c_p if passed else res.margin,
+        radii=res if passed else None, failure=None if passed else res,
     )
 
 
@@ -218,8 +214,7 @@ def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None):
     `known` which `accept`, if given, takes; else the last start's
     outcome, with "not_found" for a rejected converged one.
     """
-    b, p = scalar.b, scalar.p
-    base = max(scalar_roots(scalar), default=2.0 * (1.0 / (p * b)) ** (1.0 / (p - 1.0)))
+    base = max(scalar_roots(scalar), default=2.0 * tangency_amplitude(scalar.b, scalar.p))
     psup = float(np.abs(profile).max())
     for factor in _SECOND_STARTS:
         u, it, status = _newton(system, profile * (factor * base / psup), tol, max_iter, known=known)
@@ -260,12 +255,11 @@ def picard_minimal(
             in_cone=check_membership(u, spec).member, converged=True, status="converged",
         )
     b = operator_norm_b(kp, p)
-    u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
     if b * u0_sup ** (p - 1.0) < critical_constant(p):
         # under the certificate the monotone iterates stay below rho2
         guard = (u0_sup / (b * (p - 1.0))) ** (1.0 / p) * (1.0 + 1e-9)
     else:
-        guard = 4.0 * u_t
+        guard = 4.0 * tangency_amplitude(b, p)
     vals, iters, status = _picard(M=op.matrix, u0vec=u0vec, p=p, tol=tol, max_iter=max_iter, guard=guard)
     u = h.with_values(vals)
     fp = float(np.abs(vals - op.matrix @ _pow(vals, p) - u0vec).max())
@@ -412,9 +406,8 @@ def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
     from which plain Newton on this convex map climbs monotonically to it.
     The second branch is sought by the search newton_second runs.
     """
-    u_t = (1.0 / (p * b)) ** (1.0 / (p - 1.0))
     system = _branch_system(M, u0vec, p)
-    umin, _, st = _picard(M, u0vec, p, tol=tol, max_iter=picard_max, guard=4.0 * u_t)
+    umin, _, st = _picard(M, u0vec, p, tol=tol, max_iter=picard_max, guard=4.0 * tangency_amplitude(b, p))
     if st == "max_iter":
         umin, _, st = _newton(system, umin, 1e-12, newton_max)
     if st != "converged":
@@ -473,12 +466,13 @@ def fold_sweep(
     fold_estimate is NaN, and fold_status says why, when the scan never
     went from two branches to fewer ("not_bracketed"), or when Newton
     failed or left (lam_lo, lam_hi] by more than its tolerance
-    ("newton_failed").
+    ("newton_failed").  h_base must have the cone shape, as for certify.
     """
     if not (0.0 < lambda_lo < lambda_hi):
         raise ValueError(f"need 0 < lambda_lo < lambda_hi, got [{lambda_lo}, {lambda_hi}]")
     if steps < 2:
         raise ValueError(f"need at least 2 sweep steps, got {steps}")
+    _require_forcing_shape(h_base)
     b = operator_norm_b(kp, p)
     u0_base = apply_green(h_base, kp)
     u0_base_sup = u0_base.sup_norm

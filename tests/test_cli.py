@@ -98,6 +98,24 @@ class TestExitCodes:
         assert "129" in err and "65" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("defect", ["nan", "spike"])
+    def test_usage_error_sweep_forcing_shape(self, tmp_path, capsys, defect):
+        # certify and solve reject such a forcing; the sweep must not report
+        # it as a fold it failed to bracket
+        g = make_grid(65)
+        values = 0.05 * (1 - g.nodes**2)
+        values[10] = np.nan if defect == "nan" else -5.0
+        GridFunction(g, values).write_csv(tmp_path / "h.csv")
+        assert run(tmp_path, "sweep", "--h-csv", str(tmp_path / "h.csv")) == 2
+        assert "unimodal" in capsys.readouterr().err
+        assert not (tmp_path / "fold.json").exists()
+
+    @pytest.mark.parametrize("command", ["lemmas", "certify"])
+    def test_usage_error_negative_seed(self, tmp_path, capsys, command):
+        assert run(tmp_path, command, "--seed", "-1") == 2
+        assert "seed" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
 
 class TestKernel:
     def test_green_golden_row(self, tmp_path):

@@ -271,7 +271,9 @@ class TestConstants:
 
     @pytest.mark.parametrize("alpha", ORDERS)
     def test_core_mass_oracles(self, alpha):
-        # both sides of a_half = 1/sqrt(2), where the closed form switches route
+        # the closed form against two independent quadratures, from a thin
+        # core (0.05) through the benchmark battery's half-widths to
+        # a_half -> 1, where the mass approaches b
         kp = KernelParams(alpha=alpha)
         with mpmath.workdps(20):
             s = mpmath.mpf(alpha) / 2
@@ -283,6 +285,8 @@ class TestConstants:
                 return c / s * (1 - y * y) ** s / y * mpmath.hyp2f1(0.5, s, s + 1, -w)
 
             want = {
+                0.05: float(2 * mpmath.quad(g0, [0, 0.05])),
+                0.3: float(2 * mpmath.quad(g0, [0, 0.3])),
                 0.5: float(2 * mpmath.quad(g0, [0, 0.5])),
                 0.9999: float(2 * mpmath.quad(g0, [0, mpmath.sqrt(0.5), 0.9999])),
             }
