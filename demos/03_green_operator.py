@@ -7,6 +7,10 @@ the fractional Laplacian with eigenvalue Gamma(alpha+k+1)/k!, so the
 matrix must map P_k at the nodes to (1-x^2)^(alpha/2) P_k / lambda_k.
 Last, pushing the image back through the principal-value form of the
 operator should recover the constant we started from.
+
+The Jacobi polynomials come from `scipy.special.eval_jacobi`, an
+independent route, so this demo needs SciPy: install the test extra
+(`pip install -e .[test]`).  bifrac itself runs on numpy alone.
 """
 
 from math import exp, gamma, lgamma, pi, sqrt

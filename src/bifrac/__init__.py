@@ -35,6 +35,7 @@ from .kernels import (
     green_const,
     green_interval,
     inner_integral,
+    interpolate,
     norm_const,
     poisson_ball,
     poisson_const,
@@ -96,6 +97,7 @@ __all__ = [
     "green_const",
     "green_interval",
     "inner_integral",
+    "interpolate",
     "krasnoselskii_probe",
     "make_grid",
     "newton_second",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -515,7 +516,9 @@ def _add_settings(parser: argparse.ArgumentParser, settings, commands=None):
             parser.add_argument(meta["flag"], dest=f.name, help=meta["help"], **kw)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     # every setting flag appends its text; build_config parses and layers it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
@@ -529,20 +532,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--green", action="append", metavar="X,Y", help="Green function point")
     pk.add_argument("--w", action="append", metavar="X,Y", help="similarity variable point")
     pk.add_argument("--poisson", action="append", metavar="X,Y,R", help="Poisson kernel point")
-    pk.set_defaults(func=cmd_kernel)
-
-    pc = sub.add_parser("certify", parents=[common], help="run the radii certificate")
-    pc.set_defaults(func=cmd_certify)
-
-    ps = sub.add_parser("solve", parents=[common], help="compute both solution branches")
-    ps.set_defaults(func=cmd_solve)
-
-    pl = sub.add_parser("lemmas", parents=[common], help="run the lemma battery")
-    pl.set_defaults(func=cmd_lemmas)
-
+    sub.add_parser("certify", parents=[common], help="run the radii certificate")
+    sub.add_parser("solve", parents=[common], help="compute both solution branches")
+    sub.add_parser("lemmas", parents=[common], help="run the lemma battery")
     pw = sub.add_parser("sweep", parents=[common], help="sweep the forcing amplitude for the fold")
     _add_settings(pw, settings, _SWEEP)
-    pw.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -555,7 +549,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = build_config(args)
-        return args.func(cfg, args)
+        # looked up per call, so a command wrapped after the parser was built runs wrapped
+        return globals()[f"cmd_{args.command}"](cfg, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

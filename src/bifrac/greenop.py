@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import hyp2f1
 
-from .kernels import KernelParams, green_ball, green_const
+from .kernels import KernelParams, _hyp2f1_series, green_ball, green_const
 
 __all__ = [
     "Grid",
@@ -239,19 +238,28 @@ def _core_mass(a_half: float, kp: KernelParams) -> float:
     With w = (1-y^2)/y^2, G(0,y) = c y^(alpha-1) I(w) for y > 0, and
     d/dy I(w) = -2 (1-y^2)^(s-1) y^(-alpha).  Integrating by parts
     against y^(alpha-1) = d/dy (y^alpha/alpha), the boundary term at 0
-    vanishes (alpha > 1), int_0^a (1-y^2)^(s-1) dy = a 2F1(1/2, 1-s; 3/2; a^2)
-    is what remains, and
+    vanishes (alpha > 1), J = int_0^a (1-y^2)^(s-1) dy is what remains, and
 
-        int_{-a}^{a} G(0,y) dy = (2a/alpha) [G(a,0) + 2c 2F1(1/2, 1-s; 3/2; a^2)],
+        int_{-a}^{a} G(0,y) dy = (2a/alpha) G(a,0) + (4c/alpha) J,
 
-    s = alpha/2, c = green_const.  Check at a -> 1: G(1,0) = 0, and Gauss's
-    summation theorem with the duplication formula turns the right side
-    into b = 1/Gamma(1+alpha), the mass of the whole interval.
+    s = alpha/2, c = green_const.  J is half the incomplete beta function
+    B(a^2; 1/2, s), summed as a series of positive terms in a variable at
+    most 1/2: J = a 2F1(1/2, 1-s; 3/2; a^2) for a^2 <= 1/2, else
+    J = B(1/2, s)/2 - z^s/(2s) 2F1(s, 1/2; s+1; z) with z = 1 - a^2.
+    Check at a -> 1: G(1,0) = 0 and J -> B(1/2, s)/2, which with the
+    duplication formula gives b = 1/Gamma(1+alpha), the mass of the whole
+    interval.
     """
-    alpha = kp.alpha
+    alpha, s = kp.alpha, kp.alpha / 2.0
+    a2 = a_half * a_half
+    if a2 <= 0.5:
+        inner = a_half * float(_hyp2f1_series(0.5, 1.0 - s, 1.5, a2))
+    else:
+        z = 1.0 - a2
+        beta = math.gamma(0.5) * math.gamma(s) / math.gamma(0.5 + s)
+        inner = 0.5 * beta - 0.5 * z**s / s * float(_hyp2f1_series(s, 0.5, s + 1.0, z))
     edge = green_ball(a_half, 0.0, kp)
-    series = hyp2f1(0.5, 1.0 - alpha / 2.0, 1.5, a_half * a_half)
-    return float(2.0 * a_half / alpha * (edge + 2.0 * green_const(kp) * series))
+    return float(2.0 / alpha * (a_half * edge + 2.0 * green_const(kp) * inner))
 
 
 def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
@@ -259,8 +267,8 @@ def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
 
     Bounds G(u^p)(0) from below by a |u|^p for cone members: on U the
     values of u are at least gamma_U |u|.  Never exceeds operator_norm_b.
-    The core mass is a closed form in G(a_half,0) and one hypergeometric
-    value (see _core_mass), so no quadrature is involved.
+    The core mass is a closed form in G(a_half,0) and one positive
+    hypergeometric series (see _core_mass), so no quadrature is involved.
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")

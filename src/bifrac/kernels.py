@@ -15,17 +15,19 @@ zero as soon as either argument leaves the open interval.  I is a Gauss
 hypergeometric function (DLMF 15.8.2); for w > 1 its connection formula
 splits off the term that diverges as w -> inf when alpha > 1.  That split
 is what makes the diagonal, where the product form is 0*inf, and the
-near-diagonal values exact without special-casing.
+near-diagonal values exact without special-casing.  Pfaff's transformation
+(DLMF 15.8.1) turns both hypergeometric values into F(1/2, 1; c; x) with
+0 <= x <= 1/2, a power series of positive terms that numpy sums to
+rounding level in at most 54 terms.  Nothing here needs SciPy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import hyp2f1, roots_jacobi
 
 __all__ = [
     "KernelParams",
@@ -39,9 +41,15 @@ __all__ = [
     "poisson_ball",
     "poisson_total_mass",
     "frac_laplacian_pv",
+    "interpolate",
 ]
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+# The principal-value quadrature: Gauss-Legendre panels of 8 points
+# (_PV_RULE), graded toward +-1 over 20 halvings of the end node gaps, and
+# a ball around the point whose Taylor correction takes the coefficients
+# of u from 16 points on a circle (see frac_laplacian_pv).
+_PV_EDGE_LEVELS = 20
+_PV_CIRCLE = 16
 
 # Solver-grade window for the order: the quadrature, the principal-value
 # correction and the two-solution machinery are tuned and tested here.
@@ -102,21 +110,67 @@ def w_factor(x, y):
     return w if w.shape else float(w)
 
 
+@functools.lru_cache(maxsize=256)
+def _series_coefficients(a: float, b: float, c: float, terms: int) -> tuple:
+    """The first `terms` coefficients of F(a, b; c; x), highest first, for Horner's rule."""
+    coef = [1.0]
+    for k in range(terms - 1):
+        coef.append(coef[-1] * (k + a) * (k + b) / ((k + c) * (k + 1.0)))
+    return tuple(coef[::-1])
+
+
+def _hyp2f1_series(a: float, b: float, c: float, x):
+    """Gauss hypergeometric F(a, b; c; x) for 0 <= x <= 1/2, vectorized.
+
+    Valid when every term ratio (k+a)(k+b)/((k+c)(k+1)) x lies in [0, x]:
+    the terms are then positive and the tail after K terms is below
+    x^K/(1-x), so K is fixed up front from the largest x and the sum is
+    taken by Horner's rule.  One or two points are summed in Python
+    floats, which is far cheaper than numpy on tiny arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    few = x.ravel().tolist() if x.size <= 2 else None
+    top = max(few, default=0.0) if few is not None else float(x.max())
+    if not 0.0 <= top <= 0.5:
+        raise ValueError(f"series needs 0 <= x <= 1/2, got max {top}")
+    # the smallest K with top^K / (1 - top) <= 2^-53: 54 at top = 1/2
+    terms = 1 if top == 0.0 else math.ceil(math.log(2.0**-53 * (1.0 - top)) / math.log(top))
+    coef = _series_coefficients(a, b, c, terms)
+    if few is not None:
+        out = []
+        for xi in few:
+            acc = 0.0
+            for ck in coef:
+                acc = acc * xi + ck
+            out.append(acc)
+        return np.array(out).reshape(x.shape)
+    acc = np.zeros_like(x)
+    for ck in coef:
+        acc *= x
+        acc += ck
+    return acc
+
+
 def _connection(w, s):
     """B(s, 1/2-s) and 2F1(1/2, 1/2-s; 3/2-s; -1/w) for w >= 1, s != 1/2.
 
     The two pieces of the connection formula
     I(w) = B + w^(s-1/2)/(s-1/2) * 2F1(1/2, 1/2-s; 3/2-s; -1/w).
+    By Pfaff the hypergeometric value is (1-t)^(1/2) F(1/2, 1; 3/2-s; t)
+    with t = 1/(1+w) <= 1/2.
     """
     beta = math.gamma(s) * math.gamma(0.5 - s) / math.sqrt(math.pi)
-    return beta, hyp2f1(0.5, 0.5 - s, 1.5 - s, -1.0 / w)
+    t = 1.0 / (1.0 + w)
+    return beta, _hyp2f1_series(0.5, 1.0, 1.5 - s, t) * np.sqrt(1.0 - t)
 
 
 def inner_integral(w, kp: KernelParams):
     """I(w) for w in [0, inf], vectorized.
 
-    For w <= 1, I = (w^s/s) 2F1(1/2, s; s+1; -w).  For w > 1 the connection
-    formula I = B(s, 1/2-s) + w^(s-1/2)/(s-1/2) 2F1(1/2, 1/2-s; 3/2-s; -1/w),
+    For w <= 1, I = (w^s/s) 2F1(1/2, s; s+1; -w), which Pfaff turns into
+    (w^s/s) (1-t)^(1/2) F(1/2, 1; s+1; t) with t = w/(1+w) <= 1/2.  For
+    w > 1 the connection formula
+    I = B(s, 1/2-s) + w^(s-1/2)/(s-1/2) 2F1(1/2, 1/2-s; 3/2-s; -1/w),
     except at alpha = 1 exactly, where B has a pole and I = 2 asinh(sqrt(w)).
     Within about 1e-3 of alpha = 1 the two terms nearly cancel and about
     three digits are lost.
@@ -125,7 +179,9 @@ def inner_integral(w, kp: KernelParams):
     s = kp.alpha / 2.0
     out = np.empty_like(w)
     small = w <= 1.0
-    out[small] = w[small] ** s / s * hyp2f1(0.5, s, s + 1.0, -w[small])
+    ws = w[small]
+    t = ws / (1.0 + ws)
+    out[small] = ws**s / s * _hyp2f1_series(0.5, 1.0, s + 1.0, t) * np.sqrt(1.0 - t)
     big = ~small
     if big.any():
         if kp.alpha == 1.0:
@@ -148,7 +204,9 @@ def green_ball(x, y, kp: KernelParams):
 
     which stays finite as |x-y| -> 0 and equals the diagonal value there.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
     alpha = kp.alpha
     c = green_const(kp)
     out = np.zeros(x.shape)
@@ -156,7 +214,9 @@ def green_ball(x, y, kp: KernelParams):
     if inside.any():
         xi, yi = x[inside], y[inside]
         r = np.abs(xi - yi)
-        w = np.asarray(w_factor(xi, yi))
+        # w = num / r^2 as w_factor computes it, +inf where r^2 is 0
+        num, r2 = (1.0 - xi * xi) * (1.0 - yi * yi), r * r
+        w = np.divide(num, r2, out=np.full_like(num, np.inf), where=r2 > 0.0)
         vals = np.empty_like(xi)
 
         direct = (w <= 1.0) | (alpha <= 1.0)
@@ -169,9 +229,7 @@ def green_ball(x, y, kp: KernelParams):
         split = ~direct
         if split.any():
             beta, far = _connection(w[split], alpha / 2.0)
-            prod = ((1.0 - xi[split] ** 2) * (1.0 - yi[split] ** 2)) ** (
-                (alpha - 1.0) / 2.0
-            )
+            prod = num[split] ** ((alpha - 1.0) / 2.0)
             vals[split] = c * (
                 2.0 / (alpha - 1.0) * prod * far + r[split] ** (alpha - 1.0) * beta
             )
@@ -235,6 +293,33 @@ def poisson_ball(x, y, r: float, kp: KernelParams):
     return val if val.shape else float(val)
 
 
+def _gauss_jacobi(n: int, a: float, b: float):
+    """Nodes and weights of the n-point Gauss rule for (1-x)^a (1+x)^b on [-1, 1].
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the monic recurrence, and
+    each weight is the total mass times the squared first component of
+    its eigenvector.
+    """
+    k = np.arange(n, dtype=float)
+    t = 2.0 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (t[1:] * (t[1:] + 2.0))
+    k, t = k[1:], t[1:]
+    # k = 1 cancels the factor a + b + 1 by hand, in case it is zero
+    num = 4.0 * k * (k + a) * (k + b) * np.where(k == 1.0, 1.0, k + a + b)
+    den = t * t * (t + 1.0) * np.where(k == 1.0, 1.0, t - 1.0)
+    off = np.sqrt(num / den)
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+    mass /= math.gamma(a + b + 2.0)
+    return nodes, mass * vecs[0] ** 2
+
+
+_PV_RULE = _gauss_jacobi(8, 0.0, 0.0)
+
+
 def poisson_total_mass(x: float, r: float, kp: KernelParams) -> float:
     """int_{|y| > r} P(x, y) dy; equals 1 for any |x| < r.
 
@@ -251,12 +336,12 @@ def poisson_total_mass(x: float, r: float, kp: KernelParams) -> float:
 
     def one_tail(xb):
         # near piece int_r^{2r}: weight (y-r)^(-alpha/2)
-        xi, wi = roots_jacobi(24, 0.0, -alpha / 2.0)
+        xi, wi = _gauss_jacobi(24, 0.0, -alpha / 2.0)
         yv = r + 0.5 * r * (1.0 + xi)
         g = (yv + r) ** (-alpha / 2.0) / np.abs(yv - xb)
         near = (0.5 * r) ** (1.0 - alpha / 2.0) * float((wi * g).sum())
         # far piece int_{2r}^inf with y = 2r/t: weight t^(alpha-1)
-        xj, wj = roots_jacobi(24, 0.0, alpha - 1.0)
+        xj, wj = _gauss_jacobi(24, 0.0, alpha - 1.0)
         t = 0.5 * (1.0 + xj)
         phi = 2.0 * r ** (1.0 - alpha) * (4.0 - t * t) ** (-alpha / 2.0) / (
             2.0 * r - xb * t
@@ -268,58 +353,160 @@ def poisson_total_mass(x: float, r: float, kp: KernelParams) -> float:
     return amp * (one_tail(x) + one_tail(-x))
 
 
-def frac_laplacian_pv(u, x: float, kp: KernelParams) -> float:
-    """(-Delta)^(alpha/2) of a grid function at an interior point x.
+class _Barycentric:
+    """Polynomial through (nodes, values), in barycentric form with the given weights."""
 
-    u is a GridFunction (extends by zero outside [-1,1]).  The cutoff eps
-    is a quarter of the minimum node spacing, so the ball |y-x| < eps never
-    holds a node.  The integral is split three ways: the ball contributes
-    the even Taylor correction -u''(x) eps^(2-alpha)/(2-alpha) (odd orders
-    cancel in the principal value), the exterior |y| > 1 contributes exactly
-    u(x) [(1-x)^(-alpha) + (1+x)^(-alpha)]/alpha, and the rest is graded
-    Gauss-Legendre on a cubic spline of the node values.
+    # largest temporary, in doubles, of one chunk of points
+    CHUNK = 1 << 16
+
+    def __init__(self, nodes, weights, values):
+        self.nodes, self.weights, self.values = nodes, weights, values
+
+    def __call__(self, y):
+        """Values at real or complex points y."""
+        y = np.asarray(y)
+        flat = y.ravel()
+        nodes = self.nodes
+        at = np.minimum(np.searchsorted(nodes, flat), nodes.size - 1)
+        hit = np.flatnonzero(nodes[at] == flat)
+        out = np.empty(flat.size, dtype=np.result_type(flat, float))
+        rhs = np.stack([self.weights * self.values, self.weights], axis=1)
+        rows = max(1, self.CHUNK // nodes.size)
+        buf = np.empty((min(rows, flat.size), nodes.size), dtype=out.dtype)
+        # a point on a node gives inf/inf here and takes the node's value below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, flat.size, rows):
+                C = buf[: flat.size - lo]
+                np.subtract(flat[lo : lo + rows, None], nodes, out=C)
+                np.reciprocal(C, out=C)
+                num, den = (C @ rhs).T
+                out[lo : lo + rows] = num / den
+        out[hit] = self.values[at[hit]]
+        return out.reshape(y.shape)
+
+
+def _interpolant(u, kp: KernelParams | None) -> _Barycentric:
+    """Plain (kp None): the polynomial through all node values of u.
+    Weighted: the polynomial q through u/w at the interior nodes."""
+    nodes = u.grid.nodes
+    # barycentric weights of the Chebyshev extrema, and of the interior ones,
+    # which are the roots of U_(n-2)
+    sign = (-1.0) ** np.arange(nodes.size)
+    if kp is None:
+        weights = sign.copy()
+        weights[[0, -1]] *= 0.5
+        return _Barycentric(nodes, weights, u.values)
+    inner = slice(1, -1)
+    x = nodes[inner]
+    r = 1.0 - x * x
+    return _Barycentric(x, sign[inner] * r, u.values[inner] / r ** (kp.alpha / 2.0))
+
+
+def interpolate(u, x, kp: KernelParams | None = None):
+    """The interpolant of the grid function u at points x in [-1, 1].
+
+    Without kp, the polynomial through all n node values: right for a
+    smooth function such as a forcing.  With kp, u = w q with
+    w = (1-x^2)^(alpha/2) and q the polynomial through u/w at the interior
+    nodes.  That is the form of every G f: (1-x^2)^(alpha/2) P_k^(s,s) is
+    the Jacobi eigenbasis of the operator, so the weighted interpolant
+    carries the boundary singularity no polynomial can.
+    """
+    x = np.asarray(x, dtype=float)
+    out = _interpolant(u, kp)(x)
+    if kp is not None:
+        out *= (1.0 - x * x) ** (kp.alpha / 2.0)
+    return out if out.shape else float(out)
+
+
+def _gauss_panels(edges):
+    """Points and weights of the quadrature rule on each panel between edges."""
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes, weights = _PV_RULE
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+
+
+def frac_laplacian_pv(u, x, kp: KernelParams):
+    """(-Delta)^(alpha/2) of a grid function at interior points x, vectorized.
+
+    u is a GridFunction (extends by zero outside [-1,1]), read as its
+    weighted interpolant u = w q (see `interpolate`), built once per call
+    however many points x holds.  The integral is split three ways:
+
+    - the ball |y-x| < eps gives -sum_k u_k 2 eps^(k-alpha)/(k-alpha) over
+      even k = 2..6, u_k the Taylor coefficients of u at x (odd orders
+      cancel in the principal value).  By Cauchy's formula u_k eps^k is
+      the k-th DFT coefficient of u at 16 points of the circle
+      |z-x| = eps, where the weighted interpolant is evaluated in complex
+      arithmetic; no derivative is formed, so the coefficients keep their
+      accuracy however close x lies to a node;
+    - the exterior |y| > 1 gives exactly
+      u(x) [(1-x)^(-alpha) + (1+x)^(-alpha)]/alpha;
+    - the rest is Gauss-Legendre on every node gap, the end gaps graded
+      toward +-1 where w is singular.  The three gaps around x are left
+      out of that shared set; panels graded dyadically from their ends
+      down to the ball replace them.
+
+    eps is at most half the distance from x to either end of those three
+    gaps, and at most (1-|x|)/32: the Taylor series of w at x converges
+    within 1-|x|, so the terms past order 6, and the aliasing of the DFT,
+    stay below rounding.  Rounding in u(x) - u(y) is amplified by
+    eps^(-alpha); a ball this size, rather than one tied to the smallest
+    node gap, keeps that near 1e-11 up to n = 513.
 
     Points too close to the endpoints are rejected: solutions carry a
-    boundary singularity there and the interpolant cannot be trusted.
+    boundary singularity there and the quadrature cannot be trusted.
     """
-    from scipy.interpolate import CubicSpline
-
-    alpha = kp.alpha
+    alpha, s = kp.alpha, kp.alpha / 2.0
     nodes = u.grid.nodes
-    values = u.values
     gaps = np.diff(nodes)
-    eps = 0.25 * float(gaps.min())
+    xs = np.asarray(x, dtype=float)
+    points = xs.ravel().tolist()
+    for xi in points:
+        if not -1.0 < xi < 1.0:
+            raise ValueError(f"evaluation point {xi} outside (-1, 1)")
+        i = int(np.searchsorted(nodes, xi))
+        local = float(gaps[max(i - 1, 0) : min(i + 1, len(gaps))].max())
+        if 1.0 - abs(xi) < 2.0 * local:
+            raise ValueError(f"point {xi} too close to the boundary for the node spacing here")
 
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"evaluation point {x} outside (-1, 1)")
-    i = int(np.searchsorted(nodes, x))
-    local = float(gaps[max(i - 1, 0) : min(i + 1, len(gaps))].max())
-    if 1.0 - abs(x) < 2.0 * local:
-        raise ValueError(
-            f"point {x} too close to the boundary for the node spacing here"
-        )
+    q = _interpolant(u, kp)
+    weight = lambda y: (1.0 - y * y) ** s
+    halvings = 0.5 ** np.arange(_PV_EDGE_LEVELS, 0, -1)
+    edges = np.concatenate(
+        [[-1.0], -1.0 + gaps[0] * halvings, nodes[1:-1], 1.0 - gaps[-1] * halvings[::-1], [1.0]]
+    )
+    y_far, wq_far = _gauss_panels(edges)
+    u_far = weight(y_far) * q(y_far)
+    # the gaps lo..hi around each point, and the ball radius
+    xv = np.array(points)
+    j = np.searchsorted(edges, xv, side="right") - 1
+    lo, hi = edges[np.maximum(j - 1, 0)], edges[np.minimum(j + 2, edges.size - 1)]
+    eps = np.minimum(0.5 * np.minimum(xv - lo, hi - xv), (1.0 - np.abs(xv)) / 32.0)
+    # u_k eps^k, u_k the Taylor coefficients of u = w q at x, by Cauchy's
+    # formula on the circle |z - x| = eps: the DFT of u there
+    z = xv[:, None] + eps[:, None] * np.exp(2j * np.pi * np.arange(_PV_CIRCLE) / _PV_CIRCLE)
+    scaled = (np.fft.fft(weight(z) * q(z), axis=1) / _PV_CIRCLE).real
+    even = np.arange(2, _PV_CIRCLE // 2, 2)
+    ux = scaled[:, 0]  # the mean of u on the circle
+    ball = -2.0 * eps**-alpha * (scaled[:, even] @ (1.0 / (even - alpha)))
+    exterior = ux * ((1.0 - xv) ** (-alpha) + (1.0 + xv) ** (-alpha)) / alpha
 
-    spline = CubicSpline(nodes, values)
-    ux = float(spline(x))
-
-    exterior = ux * ((1.0 - x) ** (-alpha) + (1.0 + x) ** (-alpha)) / alpha
-    correction = -float(spline(x, 2)) * eps ** (2.0 - alpha) / (2.0 - alpha)
-
-    # knot-aligned panels with dyadic refinement toward the cutoff
-    edges = set(nodes.tolist()) | {x - eps, x + eps}
-    for k in range(1, 42):
-        for sgn in (-1.0, 1.0):
-            t = x + sgn * eps * 2.0**k
-            if -1.0 < t < 1.0:
-                edges.add(t)
-    es = np.array(sorted(e for e in edges if -1.0 <= e <= 1.0))
-    lo, hi = es[:-1], es[1:]
-    keep = ~((lo >= x - eps) & (hi <= x + eps))
-    lo, hi = lo[keep], hi[keep]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    y = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    wq = (half[:, None] * _GL_WEIGHTS).ravel()
-    quad = float((wq * ((ux - spline(y)) / np.abs(x - y) ** (1.0 + alpha))).sum())
-
-    return norm_const(1, -alpha) * (quad + exterior + correction)
+    near = []
+    for xi, a, b, e in zip(points, lo, hi, eps):
+        dyadic = e * 2.0 ** np.arange(60)
+        left, right = xi - dyadic[xi - dyadic > a], xi + dyadic[xi + dyadic < b]
+        y, wq = _gauss_panels(np.concatenate([[a], left[::-1], right, [b]]))
+        outside = np.abs(y - xi) > e  # the ball's own panel is left out
+        near.append((y[outside], wq[outside]))
+    y_near = np.concatenate([y for y, _ in near])
+    u_near = np.split(weight(y_near) * q(y_near), np.cumsum([y.size for y, _ in near])[:-1])
+    out = []
+    for i, xi in enumerate(points):
+        far = (y_far < lo[i]) | (y_far > hi[i])
+        y = np.concatenate([y_far[far], near[i][0]])
+        wq = np.concatenate([wq_far[far], near[i][1]])
+        uy = np.concatenate([u_far[far], u_near[i]])
+        quad = float(wq @ ((ux[i] - uy) / np.abs(xi - y) ** (1.0 + alpha)))
+        out.append(norm_const(1, -alpha) * (quad + ball[i] + exterior[i]))
+    return np.array(out).reshape(xs.shape) if xs.shape else float(out[0])

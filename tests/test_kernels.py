@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.special import hyp2f1, roots_jacobi
 
+from bifrac import kernels
 from bifrac.kernels import (
     KernelParams,
     distance_product_bound,
@@ -12,6 +15,7 @@ from bifrac.kernels import (
     green_const,
     green_interval,
     inner_integral,
+    interpolate,
     norm_const,
     poisson_ball,
     poisson_const,
@@ -19,8 +23,13 @@ from bifrac.kernels import (
     w_factor,
 )
 from bifrac.greenop import GridFunction, apply_green, make_grid
+from bifrac.solver import newton_second, picard_minimal
+from bifrac.cli import RunConfig, build_forcing
 
 from conftest import torsion_exact
+from spline_pv import spline_pv
+
+SOLVER_ORDERS = np.linspace(1.05, 1.95, 19)
 
 
 class TestConstants:
@@ -113,6 +122,55 @@ class TestInnerIntegral:
         w = 10.0**logw
         lo, hi = inner_integral(np.array([w, w * 1.01]), kp)
         assert hi > lo > 0
+
+
+class TestSciPyOracles:
+    """The series and rules that replaced SciPy, against SciPy itself."""
+
+    def test_kernel_series_against_hyp2f1(self):
+        # both sides of the Pfaff switch at w = 1, where the series variable
+        # is 1/2 on each side, out to the diagonal w = inf
+        near_one = [1.0 - 1e-12, 1.0 - 1e-16, 1.0]
+        small = np.concatenate([np.geomspace(1e-12, 1.0, 40), near_one])
+        big = np.concatenate([[1.0, 1.0 + 1e-16, 1.0 + 1e-12], np.geomspace(1.0, 1e16, 40), [np.inf]])
+        for alpha in SOLVER_ORDERS:
+            s = alpha / 2.0
+            got = kernels._hyp2f1_series(0.5, 1.0, s + 1.0, small / (1.0 + small)) / np.sqrt(1.0 + small)
+            want = hyp2f1(0.5, s, s + 1.0, -small)
+            assert np.abs(got / want - 1.0).max() <= 2e-15, alpha
+            got = kernels._connection(big, s)[1]
+            want = hyp2f1(0.5, 0.5 - s, 1.5 - s, -1.0 / big)
+            assert np.abs(got / want - 1.0).max() <= 2e-15, alpha
+
+    def test_core_mass_series_against_hyp2f1(self):
+        x = np.linspace(0.0, 0.5, 41)
+        for alpha in SOLVER_ORDERS:
+            s = alpha / 2.0
+            for a, b, c in ((0.5, 1.0 - s, 1.5), (s, 0.5, s + 1.0)):
+                got = kernels._hyp2f1_series(a, b, c, x)
+                assert np.abs(got / hyp2f1(a, b, c, x) - 1.0).max() <= 2e-15, (alpha, a)
+
+    def test_series_rejects_points_past_one_half(self):
+        with pytest.raises(ValueError):
+            kernels._hyp2f1_series(0.5, 1.0, 1.5, np.array([0.2, 0.6]))
+
+    def test_golub_welsch_against_roots_jacobi(self):
+        # the two 24-point rules of poisson_total_mass; a 40-digit
+        # Golub-Welsch puts SciPy's weights up to 1.4e-11 off and these
+        # within 7e-14, so the weight bound is SciPy's error
+        for alpha in SOLVER_ORDERS:
+            for a, b in ((0.0, -alpha / 2.0), (0.0, alpha - 1.0)):
+                nodes, weights = kernels._gauss_jacobi(24, a, b)
+                want_nodes, want_weights = roots_jacobi(24, a, b)
+                assert np.abs(nodes - want_nodes).max() <= 2e-15, (alpha, b)
+                assert np.abs(weights / want_weights - 1.0).max() <= 3e-11, (alpha, b)
+
+    def test_golub_welsch_at_a_plus_b_zero(self):
+        # alpha = 1 makes the far rule Gauss-Legendre
+        nodes, weights = kernels._gauss_jacobi(24, 0.0, 0.0)
+        want_nodes, want_weights = leggauss(24)
+        assert np.abs(nodes - want_nodes).max() <= 2e-15
+        assert np.abs(weights / want_weights - 1.0).max() <= 3e-13
 
 
 class TestGreenBall:
@@ -220,6 +278,23 @@ class TestPoisson:
         assert (np.diff(vals) < 0).all()
 
 
+class TestInterpolate:
+    def test_plain_reproduces_polynomials(self, grid65):
+        p = lambda x: 3.0 * x**64 - x**7 + 0.5
+        u = GridFunction(grid65, p(grid65.nodes))
+        x = np.array([-1.0, -0.77, 0.0, 0.123, grid65.nodes[40], 1.0])
+        assert np.abs(interpolate(u, x) - p(x)).max() <= 1e-13
+
+    def test_weighted_reproduces_weighted_polynomials(self, grid65, kp):
+        # w q with q of degree n-3 is exact; the endpoint values are 0
+        q = lambda x: 2.0 * x**62 + x**3 - 4.0
+        f = lambda x: (1.0 - x * x) ** (kp.alpha / 2.0) * q(x)
+        u = GridFunction(grid65, f(grid65.nodes))
+        x = np.array([-1.0, -0.999, -0.31, 0.0, grid65.nodes[7], 0.5, 1.0])
+        assert np.abs(interpolate(u, x, kp) - f(x)).max() <= 1e-13
+        assert interpolate(u, 0.5, kp) == pytest.approx(f(0.5), rel=1e-14)
+
+
 class TestPrincipalValue:
     def test_zero_function(self, grid65, kp):
         u = GridFunction(grid65, np.zeros(65))
@@ -258,6 +333,45 @@ class TestPrincipalValue:
             u = GridFunction(grid65, torsion_exact(grid65.nodes, alpha))
             for x in (0.0, 0.45, -0.45):
                 assert frac_laplacian_pv(u, x, kp_a) == pytest.approx(1.0, abs=1e-2)
+
+    def test_stable_next_to_a_node(self, grid65, kp):
+        # divided differences at x would lose every digit as x nears a node
+        u = apply_green(GridFunction(grid65, np.ones(65)), kp)
+        node = grid65.nodes[40]
+        for gap in (0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            assert frac_laplacian_pv(u, node + gap, kp) == pytest.approx(1.0, abs=1e-10), gap
+
+    def test_vectorized_matches_pointwise(self, grid65, kp):
+        u = apply_green(GridFunction(grid65, 1.0 - grid65.nodes**2), kp)
+        pts = np.array([[0.0, 0.4], [-0.55, 0.1]])
+        got = frac_laplacian_pv(u, pts, kp)
+        assert got.shape == pts.shape
+        for i, j in np.ndindex(pts.shape):
+            assert got[i, j] == frac_laplacian_pv(u, pts[i, j], kp)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_spline_route_oracle(self, alpha):
+        # the old cubic spline route and the weighted interpolant agree to
+        # the spline's own error, which falls with n, on the image of 1 and
+        # on both branches of the default problem
+        kp_a = KernelParams(alpha=alpha)
+        pts = (0.0, 0.25, -0.25, 0.5, -0.5)
+        gaps = []
+        for n in (65, 129):
+            grid = make_grid(n)
+            h = build_forcing(RunConfig(alpha=alpha, grid_n=n), kp_a)
+            low = picard_minimal(h, 2.0, kp_a)
+            high = newton_second(h, 2.0, kp_a, low)
+            ones = apply_green(GridFunction(grid, np.ones(n)), kp_a)
+            worst = 0.0
+            for u in (ones, low.u, high.u):
+                new = frac_laplacian_pv(u, np.array(pts), kp_a)
+                old = np.array([spline_pv(u, x, kp_a) for x in pts])
+                worst = max(worst, float(np.abs(new - old).max() / np.abs(new).max()))
+            gaps.append(worst)
+            assert np.abs(frac_laplacian_pv(ones, np.array(pts), kp_a) - 1.0).max() <= 1e-10
+        assert gaps[0] <= 2e-3
+        assert gaps[1] < gaps[0] / 3.0
 
     def test_boundary_rejection(self, grid65, kp):
         u = GridFunction(grid65, np.ones(65))
