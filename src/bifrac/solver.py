@@ -13,6 +13,11 @@ the forcing by lambda, counts branches on a coarse lambda grid, and
 locates the fold where the two branches merge by one Newton solve of the
 Moore-Spence extended system (Moore & Spence, SIAM J. Numer. Anal. 17,
 1980), warm-started from the last two-branch point of the scan.
+
+The branches are even, so the second branch, the sweep and the fold are
+solved on the (n+1)/2 even unknowns (`_half`) and expanded to the full
+grid only for cone checks, residuals and reports; `picard_minimal` stays
+on the full grid as the oracle the fold is tested against.
 """
 
 from __future__ import annotations
@@ -161,14 +166,37 @@ def _picard(M, u0vec, p, tol, max_iter, guard):
     return u, max_iter, "max_iter"
 
 
-def _newton(system, x, tol, max_iter, known=None):
+def _half(M):
+    """M folded onto the even unknowns: _half(M) @ u[:m] == (M @ u)[:m] for even u.
+
+    Column j < mid gains its mirror n-1-j and the centre column stays; the
+    rows past the centre drop out because GreenOperator keeps M = M[::-1, ::-1].
+    """
+    mid = M.shape[0] // 2
+    Mh = M[: mid + 1, : mid + 1].copy()
+    Mh[:, :mid] += M[: mid + 1, : mid : -1]
+    return Mh
+
+
+def _expand(v):
+    """The even grid vector whose first half (centre included) is v."""
+    return np.concatenate([v, v[-2::-1]])
+
+
+def _even_weight(m):
+    """Weights that make the squared norm of an even half that of its expansion."""
+    return np.append(np.full(m - 1, 2.0), 1.0)
+
+
+def _newton(system, x, tol, max_iter, known=None, weight=1.0):
     """Dense Newton for F(x) = 0, where system(x) returns (F, J).
 
     Returns (x, iterations, status): "converged" once a step is below tol
     in the max norm, "diverged" on a non-finite step, "singular" when J
     cannot be factored, else "max_iter".  Steps are capped at
     50 max(1, |x|) so no jump overflows the power.  Given `known`, F is
-    deflated by 1 + 1/|x - known|^2, which repels the iteration from it.
+    deflated by 1 + 1/|x - known|^2, which repels the iteration from it;
+    the squared norm weighs entry i by weight[i], the full-grid norm.
     """
     for it in range(1, max_iter + 1):
         F, J = system(x)
@@ -180,12 +208,13 @@ def _newton(system, x, tol, max_iter, known=None):
             return x, it, "diverged"
         if known is not None:
             diff = x - known
-            nrm2 = float(diff @ diff)
+            wdiff = weight * diff
+            nrm2 = float(wdiff @ diff)
             if nrm2 > 0.0:
                 # the rank-one update of the deflated Jacobian reduces to
                 # scaling the plain step (Sherman-Morrison)
                 eta = 1.0 + 1.0 / nrm2
-                tau = float(-2.0 * (diff @ d) / nrm2**2)
+                tau = float(-2.0 * (wdiff @ d) / nrm2**2)
                 if abs(eta - tau) > 1e-300:
                     d = d * (eta / (eta - tau))
         cap = 50.0 * max(1.0, float(np.abs(x).max()))
@@ -204,7 +233,7 @@ def _branch_system(M, u0vec, p):
     return lambda u: (u - M @ _pow(u, p) - u0vec, eye - M * _dpow(u, p)[None, :])
 
 
-def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None):
+def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None, weight=1.0):
     """Newton deflated off the solution `known`, from rescaled `profile`.
 
     Starts are `profile` scaled to the _SECOND_STARTS multiples of the
@@ -217,7 +246,7 @@ def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None):
     base = max(scalar_roots(scalar), default=2.0 * tangency_amplitude(scalar.b, scalar.p))
     psup = float(np.abs(profile).max())
     for factor in _SECOND_STARTS:
-        u, it, status = _newton(system, profile * (factor * base / psup), tol, max_iter, known=known)
+        u, it, status = _newton(system, profile * (factor * base / psup), tol, max_iter, known, weight)
         if (
             status == "converged"
             and float(np.abs(u - known).max()) > 1e-7
@@ -286,9 +315,11 @@ def newton_second(
     sup well.  A candidate is accepted only if it converged to something
     genuinely distinct, nonnegative and inside the cone, beyond rho2 when
     a certificate is available.  The fold sweep runs the same search.
+    The search runs on the even half: h without the cone shape raises ValueError.
     """
     if spec is None:
         spec = ConeSpec.for_kernel(kp)
+    _require_forcing_shape(h, max(spec.tol, 1e-12))
     known_u = known.u if isinstance(known, SolveResult) else known
     op = get_operator(h.grid, kp)
     u0vec = op.apply(h.values)
@@ -299,7 +330,8 @@ def newton_second(
     radii = radii if isinstance(radii, Radii) else None
     sep_floor = max(1e-7, 10.0 * tol, (radii.rho2 - radii.rho1) / 2.0 if radii else 0.0)
 
-    def accept(vals):
+    def accept(half):
+        vals = _expand(half)
         return (
             float(np.abs(vals - known_u.values).max()) > sep_floor
             and check_membership(h.with_values(vals), spec).member
@@ -308,10 +340,12 @@ def newton_second(
 
     # a zero known solution gives no shape; start from the torsion profile
     profile = known_u.values if known_u.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (kp.alpha / 2.0)
-    vals, iters, status = _second_branch(
-        _branch_system(op.matrix, u0vec, p), known_u.values, profile,
-        ScalarProblem(b=b, u0=u0_sup, p=p), tol, max_iter, accept,
+    m = h.grid.n // 2 + 1
+    half, iters, status = _second_branch(
+        _branch_system(_half(op.matrix), u0vec[:m], p), known_u.values[:m], profile[:m],
+        ScalarProblem(b=b, u0=u0_sup, p=p), tol, max_iter, accept, _even_weight(m),
     )
+    vals = _expand(half)
     u, converged = h.with_values(vals), status == "converged"
     return SolveResult(
         u=u, fixed_point_residual=float(np.abs(vals - op.matrix @ _pow(vals, p) - u0vec).max()),
@@ -393,13 +427,14 @@ class SweepResult:
         return np.isfinite(self.fold_estimate)
 
 
-def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
+def _solve_pair(M, u0vec, p, b, weight=1.0, tol=1e-11, picard_max=300, newton_max=100):
     """(count, minimal, second) for u = M u^p + u0vec; absent branches are None.
 
     Picard from zero is capped: near the fold it would need up to 1e5
     steps.  Its last iterate is a subsolution below the minimal branch,
     from which plain Newton on this convex map climbs monotonically to it.
-    The second branch is sought by the search newton_second runs.
+    The second branch is sought by the search newton_second runs.  M is
+    the full operator, or its even half with the half's `weight`.
     """
     system = _branch_system(M, u0vec, p)
     umin, _, st = _picard(M, u0vec, p, tol=tol, max_iter=picard_max, guard=4.0 * tangency_amplitude(b, p))
@@ -408,7 +443,7 @@ def _solve_pair(M, u0vec, p, b, tol=1e-11, picard_max=300, newton_max=100):
     if st != "converged":
         return 0, None, None
     scalar = ScalarProblem(b=b, u0=float(np.abs(u0vec).max()), p=p)
-    usec, _, st = _second_branch(system, umin, umin, scalar, 1e-12, newton_max)
+    usec, _, st = _second_branch(system, umin, umin, scalar, 1e-12, newton_max, weight=weight)
     return (2, umin, usec) if st == "converged" else (1, umin, None)
 
 
@@ -420,7 +455,8 @@ def _fold_newton(M, base, p, u, v, lam, tol=1e-12, max_iter=30):
     start: the bordered (2m+1) system handed to _newton.  A quadratic
     fold is a regular solution, so Newton converges quadratically near
     it.  u must be positive: callers drop the zero endpoint values, where
-    p (p-1) u^(p-2) is infinite for p < 2.  Returns lam, or None.
+    p (p-1) u^(p-2) is infinite for p < 2.  M is the full operator or its
+    even half.  Returns lam, or None.
     """
     m = u.size
     c = int(np.argmax(np.abs(v)))
@@ -453,14 +489,15 @@ def fold_sweep(
 ) -> SweepResult:
     """Scan u = G(u^p) + lambda G(h_base) for the fold where two branches merge.
 
-    Counts branches on a coarse lambda grid.  The last two-branch point
-    lam_lo and the next point lam_hi bracket the fold; from lam_lo the
-    fold is located by one Newton solve of the Moore-Spence system,
-    started at u = (u_minimal + u_second)/2 with null vector
-    u_second - u_minimal.  The scalar model is the same solve with n = 1.
-    fold_estimate is NaN, and fold_status says why, when the scan never
-    went from two branches to fewer ("not_bracketed"), or when Newton
-    failed or left (lam_lo, lam_hi] by more than its tolerance
+    Counts branches on a coarse lambda grid.  The minimal branch exists
+    only at or below the fold, so the last two-branch point lam_lo and
+    lam_hi, the first later point with no branch (else the last point),
+    bracket it; from lam_lo the fold is located by one Newton solve of
+    the Moore-Spence system, started at u = (u_minimal + u_second)/2 with
+    null vector u_second - u_minimal.  The scalar model is the same solve
+    with n = 1.  fold_estimate is NaN, and fold_status says why, when the
+    scan never went from two branches to fewer ("not_bracketed"), or when
+    Newton failed or left (lam_lo, lam_hi] by more than its tolerance
     ("newton_failed").  h_base must have the cone shape, as for certify.
     """
     if not (0.0 < lambda_lo < lambda_hi):
@@ -476,31 +513,32 @@ def fold_sweep(
     if scalar_model:
         M = np.array([[b]])
         base = np.array([u0_base_sup])
-        inner = slice(None)
+        inner, weight = slice(None), 1.0
     else:
-        M = get_operator(h_base.grid, kp).matrix
-        base = u0_base.values
-        inner = slice(1, -1)  # u vanishes at the endpoints
+        M = _half(get_operator(h_base.grid, kp).matrix)
+        base = u0_base.values[: M.shape[0]]
+        inner, weight = slice(1, None), _even_weight(M.shape[0])  # u vanishes at the endpoint
     lam_cert = (critical_constant(p) / b) ** (1.0 / (p - 1.0)) / u0_base_sup
 
     sup = lambda u: float(np.abs(u).max()) if u is not None else np.nan
     points, pairs = [], []
     for lam in np.linspace(lambda_lo, lambda_hi, steps):
-        nf, umin, usec = _solve_pair(M, lam * base, p, b)
+        nf, umin, usec = _solve_pair(M, lam * base, p, b, weight)
         points.append(SweepPoint(lam=float(lam), n_found=nf, sup_minimal=sup(umin), sup_second=sup(usec)))
         pairs.append((umin, usec))
 
     fold, status = np.nan, "not_bracketed"
     two = [i for i, pt in enumerate(points) if pt.n_found == 2]
     if two and two[-1] + 1 < len(points):
-        lo, hi = points[two[-1]].lam, points[two[-1] + 1].lam
+        lo = points[two[-1]].lam
+        hi = next((pt.lam for pt in points[two[-1] + 1 :] if pt.n_found == 0), points[-1].lam)
         umin, usec = pairs[two[-1]]
         lam = _fold_newton(
             M[inner, inner], base[inner], p,
             0.5 * (umin + usec)[inner], (usec - umin)[inner], lo,
         )
-        # a fold on the scan point hi is a double root counted as one
-        # branch there; Newton then lands within its tolerance of hi
+        # a fold on the last scan point is a double root counted as one
+        # branch there; Newton then lands within its tolerance of it
         if lam is not None and lo < lam <= hi * (1.0 + 1e-12):
             fold, status = lam, "converged"
         else:

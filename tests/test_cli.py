@@ -223,6 +223,16 @@ class TestSweep:
                    "--lambda-hi", "3.5", "--steps", "7") == 0
         assert read_json(tmp_path, "fold.json")["fold_status"] == "converged"
 
+    def test_fold_past_a_one_branch_point_exits_0(self, tmp_path):
+        # lambda = 1.697 counts one branch and the fold lies 0.12 % above
+        # it: the minimal branch exists there, so that is no bracket's end
+        assert run(tmp_path, "sweep", "--alpha", "1.05", "--p", "3", "--h-profile", "plateau",
+                   "--grid-n", "33", "--lambda-lo", "1.1313708498984762",
+                   "--lambda-hi", "5.656854249492381") == 0
+        rep = read_json(tmp_path, "fold.json")
+        assert rep["fold_status"] == "converged"
+        assert rep["fold_estimate"] == pytest.approx(1.6991581202355845, rel=1e-12)
+
     def test_rel_width_flag_is_gone(self, tmp_path):
         assert run(tmp_path, "sweep", "--scalar", "--rel-width", "1e-3") == 2
 

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from bifrac.cli import RunConfig, build_forcing
-from bifrac.cone import ConeSpec
-from bifrac.greenop import GridFunction, apply_green, get_operator, operator_norm_b
+from bifrac.cone import ConeSpec, sample_cone
+from bifrac.greenop import GridFunction, apply_green, get_operator, make_grid, operator_norm_b
 from bifrac.kernels import KernelParams
-from bifrac.scalar import critical_constant
+from bifrac.scalar import ScalarProblem, critical_constant
 from bifrac.solver import (
+    _branch_system,
+    _even_weight,
+    _expand,
+    _fold_newton,
+    _half,
+    _second_branch,
+    _solve_pair,
     certify,
     fold_sweep,
     krasnoselskii_probe,
@@ -55,6 +62,9 @@ class TestCertify:
         vals = (1 - grid65.nodes**2) * (1 + 0.1 * grid65.nodes)
         with pytest.raises(ValueError):
             certify(GridFunction(grid65, vals), 2.0, spec, kp)
+        # the second branch is solved on the even half, which needs an even forcing
+        with pytest.raises(ValueError):
+            newton_second(GridFunction(grid65, vals), 2.0, kp, GridFunction(grid65, vals), spec=spec)
 
 
 class TestMinimalBranch:
@@ -197,6 +207,24 @@ class TestFoldSweep:
         high = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
         assert pt.sup_second == pytest.approx(high.u.sup_norm, rel=1e-12, abs=0.0)
 
+    def test_fold_past_a_one_branch_point(self):
+        # the second-branch search misses at lambda = 1.697, just below the
+        # fold, but the minimal branch exists there, so the fold lies above
+        # it; a finer scan, where the search succeeds, finds the same fold
+        cfg = RunConfig(alpha=1.05, p=3.0, h_profile="plateau", grid_n=33)
+        kp_a = cfg.kernel_params()
+        h = build_forcing(cfg, kp_a)
+        sw = fold_sweep(h, 3.0, kp_a, 1.1313708498984762, 5.656854249492381, 9)
+        assert [pt.n_found for pt in sw.points[:3]] == [2, 1, 0]
+        assert sw.fold_status == "converged"
+        assert sw.points[1].lam < sw.fold_estimate < sw.points[2].lam
+        fine = fold_sweep(h, 3.0, kp_a, 1.6, 2.3, 15)
+        assert fine.fold_estimate == pytest.approx(sw.fold_estimate, rel=1e-12, abs=0.0)
+        below = picard_minimal(scaled(h, sw.fold_estimate * (1 - 1e-5)), 3.0, kp_a, max_iter=50_000)
+        above = picard_minimal(scaled(h, sw.fold_estimate * (1 + 1e-5)), 3.0, kp_a, max_iter=50_000)
+        assert below.status == "converged"
+        assert above.status == "diverged"
+
     def test_unbracketed_fold_is_nan(self, h_certified, kp):
         sw = fold_sweep(h_certified, 2.0, kp, 0.1, 0.5, 3, scalar_model=True)
         assert not sw.bracketed
@@ -212,3 +240,87 @@ class TestFoldSweep:
             fold_sweep(h_certified, 2.0, kp, 0.5, 1.0, 1)
         with pytest.raises(ValueError):
             fold_sweep(GridFunction(grid65, np.zeros(65)), 2.0, kp, 0.5, 1.0, 3)
+
+
+def _full_grid_scan(M, base, p, b, lams):
+    """The sweep's scan and fold on the full grid: the oracle of the even half."""
+    pairs = [_solve_pair(M, lam * base, p, b) for lam in lams]
+    last = max(i for i, (nf, _, _) in enumerate(pairs) if nf == 2)
+    _, umin, usec = pairs[last]
+    fold = _fold_newton(
+        M[1:-1, 1:-1], base[1:-1], p, 0.5 * (umin + usec)[1:-1], (usec - umin)[1:-1], lams[last]
+    )
+    return pairs, fold
+
+
+class TestEvenHalf:
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_sweep_follows_the_full_grid(self, alpha, n):
+        # the fold-warm grid: counts, sups and folds of the even half agree
+        # with the full-grid solves to rounding
+        sup = lambda u: float(np.abs(u).max()) if u is not None else np.nan
+        for p in (1.5, 2.0, 3.0):
+            lam_cert = 2.0 ** (1.0 / (p - 1.0))
+            for profile in ("bump", "torsion", "plateau"):
+                cfg = RunConfig(alpha=alpha, p=p, h_profile=profile, grid_n=n)
+                kp_a = cfg.kernel_params()
+                h = build_forcing(cfg, kp_a)
+                sw = fold_sweep(h, p, kp_a, 0.8 * lam_cert, 4.0 * lam_cert, 9)
+                M = get_operator(h.grid, kp_a).matrix
+                pairs, fold = _full_grid_scan(
+                    M, M @ h.values, p, operator_norm_b(kp_a, p), [pt.lam for pt in sw.points]
+                )
+                case = (p, profile)
+                for pt, (nf, umin, usec) in zip(sw.points, pairs):
+                    assert pt.n_found == nf, case
+                    np.testing.assert_allclose(
+                        [pt.sup_minimal, pt.sup_second], [sup(umin), sup(usec)], rtol=1e-12, atol=0.0
+                    )
+                assert sw.fold_status == "converged", case
+                assert fold == pytest.approx(sw.fold_estimate, rel=1e-12, abs=0.0), case
+
+    @pytest.mark.parametrize("n", [33, 65, 257])
+    def test_half_operator_applies_the_full_one(self, n, kp, spec):
+        M = get_operator(make_grid(n), kp).matrix
+        Mh, m = _half(M), n // 2 + 1
+        members = [u.values[:m] for u in sample_cone(1.0, 5, 3, grid=make_grid(n), kp=kp, spec=spec)]
+        for uh in members + [np.random.default_rng(n).random(m)]:
+            full = M @ _expand(uh)
+            assert np.abs(Mh @ uh - full[:m]).max() <= 1e-14 * np.abs(full).max()
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_deflation_measures_the_full_grid(self, alpha):
+        # weighted by the full-grid norm, the deflated Newton on the half
+        # takes the steps of the full-grid search
+        for p in (1.5, 2.0, 3.0):
+            cfg = RunConfig(alpha=alpha, p=p)
+            kp_a = cfg.kernel_params()
+            h = build_forcing(cfg, kp_a)
+            low = picard_minimal(h, p, kp_a)
+            high = newton_second(h, p, kp_a, low)
+            M = get_operator(h.grid, kp_a).matrix
+            u0vec = M @ h.values
+            scalar = ScalarProblem(b=operator_norm_b(kp_a, p), u0=float(np.abs(u0vec).max()), p=p)
+            full, iters, status = _second_branch(
+                _branch_system(M, u0vec, p), low.u.values, low.u.values, scalar, 1e-12, 80
+            )
+            assert status == high.status == "converged"
+            assert high.iterations == iters, p
+            assert np.abs(high.u.values - full).max() <= 1e-14 * np.abs(full).max()
+
+    def test_branches_are_palindromes(self, h_certified, kp, spec):
+        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
+        high = newton_second(h_certified, 2.0, kp, low.u, spec=spec).u.values
+        assert np.array_equal(high, high[::-1])
+        # the sweep's branches, expanded, are palindromes that follow the
+        # full-grid ones to rounding
+        M = get_operator(h_certified.grid, kp).matrix
+        u0vec, m, b = M @ h_certified.values, h_certified.grid.n // 2 + 1, operator_norm_b(kp, 2.0)
+        nf, *halves = _solve_pair(_half(M), u0vec[:m], 2.0, b, _even_weight(m))
+        nf_full, *fulls = _solve_pair(M, u0vec, 2.0, b)
+        assert nf == nf_full == 2
+        for half, full in zip(halves, fulls):
+            u = _expand(half)
+            assert np.array_equal(u, u[::-1])
+            assert np.abs(u - full).max() <= 1e-14 * np.abs(full).max()
