@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cone import ConeSpec, check_membership, sample_cone, verify_invariance
+from .cone import ConeSpec, verify_invariance
 from .greenop import GridFunction, apply_green, gamma_U, make_grid, operator_norm_b
 from .kernels import (
     KernelParams,
@@ -364,12 +364,19 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0 if distinct else 1
 
 
+def _green_ratio_points(a_half: float):
+    """The table's 161 x in U, an exact mirror, and its y in [0, 1): 201
+    uniform points plus 120 graded to within 1e-9 of 1."""
+    xp = np.linspace(0.0, a_half, 81)
+    ys = np.concatenate([1.0 - np.geomspace(1e-9, 1.0, 120), np.linspace(0.0, 0.999, 201)])
+    return np.concatenate([-xp[:0:-1], xp]), np.unique(ys)
+
+
 def _green_ratio_table(a_half: float, kp: KernelParams) -> float:
-    """Minimum of G(x,y)/G(0,y) over 161 x in U and 401 uniform y plus 120
-    per side graded to within 1e-9 of +-1: the lemma's check on gamma_U."""
-    graded = 1.0 - np.geomspace(1e-9, 1.0, 120)
-    ys = np.unique(np.concatenate([-graded, graded, np.linspace(-0.999, 0.999, 401)]))
-    xs = np.linspace(-a_half, a_half, 161)
+    """Minimum of G(x,y)/G(0,y) over _green_ratio_points: the lemma's check
+    on gamma_U.  G(-x,-y) equals G(x,y) bit for bit and the x grid is an
+    exact mirror, so the y < 0 half of the table would repeat this half."""
+    xs, ys = _green_ratio_points(a_half)
     G = green_ball(xs[:, None], ys[None, :], kp)
     return float((G.min(axis=0) / green_ball(np.zeros_like(ys), ys, kp)).min())
 
@@ -398,16 +405,11 @@ def lemma_battery(cfg: RunConfig) -> dict:
         "refined": g2,
     }
 
-    worst_shape = 0.0
-    for u in sample_cone(1.0, cfg.samples, cfg.seed, grid=grid, kp=kp, spec=spec):
-        image = apply_green(u, kp)
-        rep = check_membership(image, spec)
-        sup = image.sup_norm
-        defect = max(rep.violations["asymmetry"], rep.violations["unimodality"])
-        worst_shape = max(worst_shape, defect / sup if sup > 0 else 0.0)
+    # one draw of cone members serves unimodality (G u) and invariance
+    inv = verify_invariance(cfg.p, spec, kp, cfg.samples, grid=grid, seed=cfg.seed)
     items["unimodality"] = {
-        "pass": worst_shape <= cfg.tol("unimodality"),
-        "worst": worst_shape,
+        "pass": inv.linear_shape <= cfg.tol("unimodality"),
+        "worst": inv.linear_shape,
         "threshold": cfg.tol("unimodality"),
         "samples": cfg.samples,
     }
@@ -416,45 +418,44 @@ def lemma_battery(cfg: RunConfig) -> dict:
     # coordinate grid must be exactly antisymmetric, otherwise reflected
     # pairs near the diagonal differ at rounding level and the kernel's
     # |x-y|^(alpha-1) cusp amplifies that far above the threshold
-    worst_refl = 0.0
     half = np.arange(1, 11) * 0.095
     st = np.concatenate([-half[::-1], [0.0], half])
     S, T = np.meshgrid(st, st, indexing="ij")
+    # kul: same-side dominance of the kernel on the right half of W
+    s = np.linspace(0.025, 0.975, 39)
+    S2, T2 = np.meshgrid(s, s, indexing="ij")
+    # one kernel call per z: the reflected pairs (-S,-T), (S,T) and
+    # (-S,T), (S,-T), then kul's same side (S2,T2) and opposite side (-S2,T2)
+    sx = np.concatenate([a.ravel() for a in (-S, S, -S, S, S2, -S2)])
+    tx = np.concatenate([a.ravel() for a in (-T, T, T, -T, T2, T2)])
+    worst_refl = worst_kul = 0.0
     for z in (0.1, 0.3, 0.55):
         r = 1.0 - z
-        gw = lambda s, t: green_interval(z + s * r, z + t * r, z, r, kp)
-        both = np.abs(gw(-S, -T) - gw(S, T)).max()
-        single = np.abs(gw(-S, T) - gw(S, -T)).max()
+        g = green_interval(z + sx * r, z + tx * r, z, r, kp)
+        refl, kul = g[: 4 * S.size].reshape(4, -1), g[4 * S.size :].reshape(2, -1)
+        both = np.abs(refl[0] - refl[1]).max()
+        single = np.abs(refl[2] - refl[3]).max()
         worst_refl = max(worst_refl, float(both), float(single))
+        worst_kul = max(worst_kul, float((kul[1] - kul[0]).max()))
     items["reflection"] = {
         "pass": worst_refl <= cfg.tol("reflection"),
         "worst": worst_refl,
         "threshold": cfg.tol("reflection"),
     }
-
-    # same-side dominance of the kernel on the right half of W
-    s = np.linspace(0.025, 0.975, 39)
-    S, T = np.meshgrid(s, s, indexing="ij")
-    worst_kul = 0.0
-    for z in (0.1, 0.3, 0.55):
-        r = 1.0 - z
-        same = green_interval(z + S * r, z + T * r, z, r, kp)
-        opposite = green_interval(z - S * r, z + T * r, z, r, kp)
-        worst_kul = max(worst_kul, float((opposite - same).max()))
     items["kul"] = {
         "pass": worst_kul <= cfg.tol("kul"),
         "worst": worst_kul,
         "threshold": cfg.tol("kul"),
     }
 
-    worst_mass = max(abs(poisson_total_mass(x, 1.0, kp) - 1.0) for x in (0.0, 0.35, -0.6))
+    mass = poisson_total_mass(np.array([0.0, 0.35, -0.6]), 1.0, kp)
+    worst_mass = float(np.abs(mass - 1.0).max())
     items["poisson"] = {
         "pass": worst_mass <= cfg.tol("poisson"),
         "worst": worst_mass,
         "threshold": cfg.tol("poisson"),
     }
 
-    inv = verify_invariance(cfg.p, spec, kp, cfg.samples, grid=grid, seed=cfg.seed)
     items["invariance"] = {
         "pass": inv.failures == 0 and inv.worst_violation <= cfg.tol("invariance"),
         "worst": inv.worst_violation,

@@ -182,6 +182,11 @@ class GreenOperator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
 
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """apply to each row of a 2-D array, one product per row: a single
+        rows @ matrix.T rounds differently from apply."""
+        return np.array([self.matrix @ row for row in rows]).reshape(rows.shape)
+
 
 @functools.lru_cache(maxsize=16)
 def _build_operator(n: int, kp: KernelParams) -> GreenOperator:

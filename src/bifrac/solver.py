@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cone import ConeSpec, check_membership, sample_cone
+from .cone import ConeSpec, _sample_blocks, check_membership
 from .greenop import GridFunction, apply_green, coercivity_a, get_operator, operator_norm_b
 from .kernels import KernelParams, frac_laplacian_pv, interpolate
 from .scalar import (
@@ -379,10 +379,11 @@ def krasnoselskii_probe(
     """
     op = get_operator(h.grid, kp)
     u0vec = op.apply(h.values)
-    sups = []
-    for u in sample_cone(rho, count, seed, grid=h.grid, kp=kp, spec=spec):
-        sups.append(float(np.abs(op.apply(_pow(u.values, p)) + u0vec).max()))
-    return ProbeReport(rho=rho, min_T=min(sups), max_T=max(sups), count=count)
+    sups = np.concatenate([
+        np.abs(op.apply_rows(_pow(block, p)) + u0vec).max(axis=1)
+        for block in _sample_blocks(rho, count, seed, h.grid, kp, spec)
+    ])
+    return ProbeReport(rho=rho, min_T=float(sups.min()), max_T=float(sups.max()), count=count)
 
 
 def residual_strong(
