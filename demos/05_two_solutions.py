@@ -38,10 +38,10 @@ def main():
     r = rep.radii
     print(f"radii: rho1 = {r.rho1:.6f}, rho2 = {r.rho2:.6f}, rho3 = {r.rho3:.4f}")
 
-    low = picard_minimal(h, p, kp, spec=spec)
-    high = newton_second(h, p, kp, low.u, spec=spec)
+    low = picard_minimal(rep)
+    high = newton_second(rep, low.u)
     for res in (low, high):
-        residual_strong(res, h, p, kp)
+        residual_strong(res, rep)
         print(
             f"{res.branch:8s} sup = {res.u.sup_norm:.6f}  fixed-point residual {res.fixed_point_residual:.1e}"
             f"  strong residual {res.strong_residual:.1e}  in cone: {res.in_cone}"
@@ -51,7 +51,7 @@ def main():
 
     print("\nsphere probes (200 random cone members each):")
     for rho, side in ((r.rho1, "expects min |T| above"), (r.rho2, "expects max |T| below")):
-        pr = krasnoselskii_probe(rho, h, p, kp, spec, count=200, seed=7)
+        pr = krasnoselskii_probe(rho, rep, count=200, seed=7)
         print(f"  rho = {rho:.4f}: min {pr.min_T:.4f}, max {pr.max_T:.4f}  ({side} {rho:.4f})")
 
 

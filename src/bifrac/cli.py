@@ -296,9 +296,13 @@ def _parse_floats(text: str, count: int, flag: str):
     if len(parts) != count:
         raise ValueError(f"{flag} expects {count} comma-separated numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        nums = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"{flag}: could not parse numbers from {text!r}") from None
+    if not all(map(math.isfinite, nums)):
+        # a NaN or infinite point would run on to a value of 0 or nan
+        raise ValueError(f"{flag}: numbers must be finite, got {text!r}")
+    return nums
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
@@ -317,13 +321,12 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 def cmd_solve(cfg: RunConfig, args) -> int:
     cfg.validate()
     kp = cfg.kernel_params()
-    spec = ConeSpec.for_kernel(kp, a_half=cfg.a_half)
     h = build_forcing(cfg, kp)
     outdir = _resolve_outdir(cfg)
-    cert = certify(h, cfg.p, spec, kp)
+    cert = certify(h, cfg.p, ConeSpec.for_kernel(kp, a_half=cfg.a_half), kp)
 
     if h.sup_norm == 0.0:
-        trivial = picard_minimal(h, cfg.p, kp, tol=cfg.solve_tol, spec=spec)
+        trivial = picard_minimal(cert, tol=cfg.solve_tol)
         trivial.u.write_csv(os.path.join(outdir, "minimal.csv"))
         write_report(
             os.path.join(outdir, "report.json"),
@@ -336,12 +339,11 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         )
         return 0
 
-    rmin = picard_minimal(h, cfg.p, kp, tol=cfg.solve_tol, spec=spec)
-    rsec = newton_second(h, cfg.p, kp, rmin, tol=cfg.solve_tol, spec=spec)
-    if rmin.converged:
-        residual_strong(rmin, h, cfg.p, kp)
-    if rsec.converged:
-        residual_strong(rsec, h, cfg.p, kp)
+    rmin = picard_minimal(cert, tol=cfg.solve_tol)
+    rsec = newton_second(cert, rmin, tol=cfg.solve_tol)
+    for res in (rmin, rsec):
+        if res.converged:
+            residual_strong(res, cert)
     separation = float(np.abs(rsec.u.values - rmin.u.values).max())
     sep_needed = (cert.radii.rho2 - cert.radii.rho1) if cert.passed else 1e-7
     distinct = rmin.converged and rsec.converged and separation > sep_needed

@@ -1,5 +1,11 @@
 """Two solution branches of u = G(u^p) + G(h) and the fold in between.
 
+`certify` poses the problem once: the CertificateReport it returns holds
+the forcing h, p, the kernel, the cone, u0 = G h, the constants b and a
+and the radii, and refuses a forcing without the cone shape.
+`picard_minimal`, `newton_second`, `krasnoselskii_probe` and
+`residual_strong` take that report and recompute none of it.
+
 The minimal branch is the monotone limit of Picard iteration from zero;
 it exists whenever the scalar certificate passes, and the iteration is
 increasing so any escape past the certified radius means divergence.
@@ -72,8 +78,18 @@ def _dpow(u, p):
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Constants and verdict of the scalar two-solution certificate."""
+    """The run's problem u = G(u^p) + G h, posed once, and its certificate.
 
+    The branch solvers and the probe read h, u0 = G h and the constants
+    from it; `to_dict` writes the constants and the verdict only.  A
+    forcing without the cone shape cannot be built into one (ValueError).
+    """
+
+    h: GridFunction = field(repr=False)
+    p: float
+    kp: KernelParams
+    spec: ConeSpec
+    u0: GridFunction = field(repr=False)
     b: float
     a_coerc: float
     c_p: float
@@ -83,6 +99,9 @@ class CertificateReport:
     margin: float
     radii: Radii | None = None
     failure: CertificateFailure | None = None
+
+    def __post_init__(self):
+        _require_forcing_shape(self.h, max(self.spec.tol, 1e-12))
 
     def to_dict(self) -> dict:
         out = {
@@ -109,11 +128,10 @@ def _require_forcing_shape(h: GridFunction, tol: float = 1e-12):
 
 
 def certify(h: GridFunction, p: float, spec: ConeSpec, kp: KernelParams) -> CertificateReport:
-    """Run the radii certificate for the forcing h.
+    """Pose the problem for the forcing h and run the radii certificate on it.
 
     A forcing without the cone shape leaves the framework and raises ValueError.
     """
-    _require_forcing_shape(h, max(spec.tol, 1e-12))
     u0 = apply_green(h, kp)
     b = operator_norm_b(kp, p)
     a = coercivity_a(spec.a_half, p, kp)
@@ -123,6 +141,7 @@ def certify(h: GridFunction, p: float, spec: ConeSpec, kp: KernelParams) -> Cert
     res = radii_certificate(a, b, u0_sup, p)
     passed = isinstance(res, Radii)
     return CertificateReport(
+        h=h, p=p, kp=kp, spec=spec, u0=u0,
         b=b, a_coerc=a, c_p=c_p, u0_sup=u0_sup, lhs=lhs, passed=passed,
         margin=(c_p - lhs) / c_p if passed else res.margin,
         radii=res if passed else None, failure=None if passed else res,
@@ -257,56 +276,38 @@ def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None, w
     return u, it, "not_found" if status == "converged" else status
 
 
-def picard_minimal(
-    h: GridFunction,
-    p: float,
-    kp: KernelParams,
-    tol: float = 1e-12,
-    max_iter: int = 5000,
-    spec: ConeSpec | None = None,
-) -> SolveResult:
-    """Minimal-branch solution by monotone iteration from zero.
+def picard_minimal(cert: CertificateReport, tol: float = 1e-12, max_iter: int = 5000) -> SolveResult:
+    """Minimal-branch solution of the problem `cert` poses, by monotone iteration from zero.
 
     The iterates increase toward the smallest fixed point.  While the
     certificate holds they stay under rho2, so crossing that radius (or
     four times the scalar tangency amplitude when the certificate fails)
     is reported as divergence.
     """
-    if spec is None:
-        spec = ConeSpec.for_kernel(kp)
-    op = get_operator(h.grid, kp)
-    u0vec = op.apply(h.values)
-    u0_sup = float(np.abs(u0vec).max())
-    if u0_sup == 0.0:
+    h, p = cert.h, cert.p
+    if cert.u0_sup == 0.0:
         u = h.with_values(np.zeros(h.grid.n))
         return SolveResult(
             u=u, fixed_point_residual=0.0, iterations=0, branch="minimal",
-            in_cone=check_membership(u, spec).member, converged=True, status="converged",
+            in_cone=check_membership(u, cert.spec).member, converged=True, status="converged",
         )
-    b = operator_norm_b(kp, p)
-    if b * u0_sup ** (p - 1.0) < critical_constant(p):
-        # under the certificate the monotone iterates stay below rho2
-        guard = (u0_sup / (b * (p - 1.0))) ** (1.0 / p) * (1.0 + 1e-9)
-    else:
-        guard = 4.0 * tangency_amplitude(b, p)
-    vals, iters, status = _picard(M=op.matrix, u0vec=u0vec, p=p, tol=tol, max_iter=max_iter, guard=guard)
+    guard = cert.radii.rho2 * (1.0 + 1e-9) if cert.passed else 4.0 * tangency_amplitude(cert.b, p)
+    M, u0vec = get_operator(h.grid, cert.kp).matrix, cert.u0.values
+    vals, iters, status = _picard(M=M, u0vec=u0vec, p=p, tol=tol, max_iter=max_iter, guard=guard)
     u = h.with_values(vals)
-    fp = float(np.abs(vals - op.matrix @ _pow(vals, p) - u0vec).max())
+    fp = float(np.abs(vals - M @ _pow(vals, p) - u0vec).max())
     return SolveResult(
         u=u, fixed_point_residual=fp, iterations=iters, branch="minimal",
-        in_cone=check_membership(u, spec).member, converged=(status == "converged"),
+        in_cone=check_membership(u, cert.spec).member, converged=(status == "converged"),
         status=status,
     )
 
 
 def newton_second(
-    h: GridFunction,
-    p: float,
-    kp: KernelParams,
+    cert: CertificateReport,
     known: "SolveResult | GridFunction",
     tol: float = 1e-12,
     max_iter: int = 80,
-    spec: ConeSpec | None = None,
 ) -> SolveResult:
     """Second-branch solution by Newton iteration deflated off the known one.
 
@@ -314,20 +315,12 @@ def newton_second(
     of the scalar model's larger root, which predicts the second branch
     sup well.  A candidate is accepted only if it converged to something
     genuinely distinct, nonnegative and inside the cone, beyond rho2 when
-    a certificate is available.  The fold sweep runs the same search.
-    The search runs on the even half: h without the cone shape raises ValueError.
+    the certificate passed.  The fold sweep runs the same search.  The
+    search runs on the even half, which `cert`'s forcing is guaranteed to fit.
     """
-    if spec is None:
-        spec = ConeSpec.for_kernel(kp)
-    _require_forcing_shape(h, max(spec.tol, 1e-12))
+    h, p, spec, radii = cert.h, cert.p, cert.spec, cert.radii
     known_u = known.u if isinstance(known, SolveResult) else known
-    op = get_operator(h.grid, kp)
-    u0vec = op.apply(h.values)
-    u0_sup = float(np.abs(u0vec).max())
-    b = operator_norm_b(kp, p)
-
-    radii = radii_certificate(coercivity_a(spec.a_half, p, kp), b, u0_sup, p)
-    radii = radii if isinstance(radii, Radii) else None
+    M, u0vec = get_operator(h.grid, cert.kp).matrix, cert.u0.values
     sep_floor = max(1e-7, 10.0 * tol, (radii.rho2 - radii.rho1) / 2.0 if radii else 0.0)
 
     def accept(half):
@@ -339,16 +332,16 @@ def newton_second(
         )
 
     # a zero known solution gives no shape; start from the torsion profile
-    profile = known_u.values if known_u.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (kp.alpha / 2.0)
+    profile = known_u.values if known_u.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (cert.kp.alpha / 2.0)
     m = h.grid.n // 2 + 1
     half, iters, status = _second_branch(
-        _branch_system(_half(op.matrix), u0vec[:m], p), known_u.values[:m], profile[:m],
-        ScalarProblem(b=b, u0=u0_sup, p=p), tol, max_iter, accept, _even_weight(m),
+        _branch_system(_half(M), u0vec[:m], p), known_u.values[:m], profile[:m],
+        ScalarProblem(b=cert.b, u0=cert.u0_sup, p=p), tol, max_iter, accept, _even_weight(m),
     )
     vals = _expand(half)
     u, converged = h.with_values(vals), status == "converged"
     return SolveResult(
-        u=u, fixed_point_residual=float(np.abs(vals - op.matrix @ _pow(vals, p) - u0vec).max()),
+        u=u, fixed_point_residual=float(np.abs(vals - M @ _pow(vals, p) - u0vec).max()),
         iterations=iters, branch="second", in_cone=converged or check_membership(u, spec).member,
         converged=converged, status=status,
     )
@@ -362,47 +355,36 @@ class ProbeReport:
     count: int
 
 
-def krasnoselskii_probe(
-    rho: float,
-    h: GridFunction,
-    p: float,
-    kp: KernelParams,
-    spec: ConeSpec,
-    count: int,
-    seed: int = 0,
-) -> ProbeReport:
+def krasnoselskii_probe(rho: float, cert: CertificateReport, count: int, seed: int = 0) -> ProbeReport:
     """Range of sup|T(u)| over random cone members with sup|u| = rho.
 
-    T(u) = G(u^p) + G(h).  On the certified radii the range must land
-    strictly inside (rho1 side) or outside (rho2 side) of rho, which is
-    the compression/expansion picture behind the two-solution count.
+    T(u) = G(u^p) + G(h) for the problem `cert` poses.  On the certified
+    radii the range must land strictly inside (rho1 side) or outside (rho2
+    side) of rho, which is the compression/expansion picture behind the
+    two-solution count.
     """
-    op = get_operator(h.grid, kp)
-    u0vec = op.apply(h.values)
+    grid = cert.h.grid
+    op = get_operator(grid, cert.kp)
     sups = np.concatenate([
-        np.abs(op.apply_rows(_pow(block, p)) + u0vec).max(axis=1)
-        for block in _sample_blocks(rho, count, seed, h.grid, kp, spec)
+        np.abs(op.apply_rows(_pow(block, cert.p)) + cert.u0.values).max(axis=1)
+        for block in _sample_blocks(rho, count, seed, grid, cert.kp, cert.spec)
     ])
     return ProbeReport(rho=rho, min_T=float(sups.min()), max_T=float(sups.max()), count=count)
 
 
 def residual_strong(
-    result: SolveResult,
-    h: GridFunction,
-    p: float,
-    kp: KernelParams,
-    probes=(0.0, 0.25, -0.25, 0.5, -0.5),
+    result: SolveResult, cert: CertificateReport, probes=(0.0, 0.25, -0.25, 0.5, -0.5)
 ) -> float:
     """Pointwise residual of the differential equation at the probe points.
 
     Evaluates the fractional Laplacian of the computed solution by the
     principal-value quadrature, on its weighted interpolant, and compares
-    with u^p + h; h is interpolated plainly.  The result is stored on the
-    SolveResult and returned.
+    with u^p + h for the problem `cert` poses; h is interpolated plainly.
+    The result is stored on the SolveResult and returned.
     """
     probes = np.asarray(probes, dtype=float)
-    lap = frac_laplacian_pv(result.u, probes, kp)
-    rhs = interpolate(result.u, probes, kp) ** p + interpolate(h, probes)
+    lap = frac_laplacian_pv(result.u, probes, cert.kp)
+    rhs = interpolate(result.u, probes, cert.kp) ** cert.p + interpolate(cert.h, probes)
     worst = float(np.abs(lap - rhs).max())
     result.strong_residual = worst
     return worst

@@ -107,20 +107,21 @@ def test_guarantee_5_cone_invariance():
 def test_guarantee_6_two_solutions(h_certified, kp, spec):
     rep = certify(h_certified, 2.0, spec, kp)
     assert rep.passed
-    low = picard_minimal(h_certified, 2.0, kp, spec=spec)
-    high = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
+    low = picard_minimal(rep)
+    high = newton_second(rep, low.u)
     assert low.converged and high.converged
     assert low.fixed_point_residual < 1e-9 and high.fixed_point_residual < 1e-9
-    assert residual_strong(low, h_certified, 2.0, kp) < 1e-2
-    assert residual_strong(high, h_certified, 2.0, kp) < 1e-2
+    assert residual_strong(low, rep) < 1e-2
+    assert residual_strong(high, rep) < 1e-2
     assert low.in_cone and high.in_cone
     separation = float(np.abs(high.u.values - low.u.values).max())
     assert separation > rep.radii.rho2 - rep.radii.rho1
 
 
 def test_guarantee_7_krasnoselskii_probes(h_certified, kp, spec):
-    radii = certify(h_certified, 2.0, spec, kp).radii
-    probe = lambda rho: krasnoselskii_probe(rho, h_certified, 2.0, kp, spec, count=200, seed=7)
+    rep = certify(h_certified, 2.0, spec, kp)
+    radii = rep.radii
+    probe = lambda rho: krasnoselskii_probe(rho, rep, count=200, seed=7)
     assert probe(radii.rho1).min_T > radii.rho1
     assert probe(radii.rho2).max_T < radii.rho2
     assert probe(radii.rho3).min_T > radii.rho3

@@ -16,7 +16,7 @@ from bifrac.cli import RunConfig, _green_ratio_points, lemma_battery
 from bifrac.cone import check_membership, sample_cone
 from bifrac.greenop import GridFunction
 from bifrac.kernels import KernelParams, green_ball, poisson_total_mass
-from bifrac.solver import krasnoselskii_probe
+from bifrac.solver import certify, krasnoselskii_probe
 
 
 def assert_matches_oracle(cfg):
@@ -70,9 +70,10 @@ def test_battery_memory_is_flat_in_samples():
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
 def test_probe_matches_per_sample_loop(monkeypatch, h_certified, kp, spec, p):
     monkeypatch.setattr(cone, "SAMPLE_BLOCK", 64)
+    cert = certify(h_certified, p, spec, kp)
     for rho in (0.1, 1.0, 3.0):
         sups = oracle.probe_sups(rho, h_certified, p, kp, spec, 200, 7)
-        rep = krasnoselskii_probe(rho, h_certified, p, kp, spec, count=200, seed=7)
+        rep = krasnoselskii_probe(rho, cert, count=200, seed=7)
         assert (repr(rep.min_T), repr(rep.max_T)) == (repr(min(sups)), repr(max(sups)))
 
 

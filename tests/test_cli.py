@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -68,8 +69,14 @@ class TestExitCodes:
             ["lemmas", "--tol", "all=nan"],
             ["certify", "--h-amplitude", "inf"],
             ["certify", "--h-amplitude", "nan"],
+            ["kernel", "--green", "nan,0.2"],
+            ["kernel", "--w", "0.1,inf"],
+            ["kernel", "--poisson", "nan,2,1"],
         ],
-        ids=["lambda-hi-inf", "solve-tol-nan", "tol-nan", "h-amplitude-inf", "h-amplitude-nan"],
+        ids=[
+            "lambda-hi-inf", "solve-tol-nan", "tol-nan", "h-amplitude-inf", "h-amplitude-nan",
+            "green-nan", "w-inf", "poisson-nan",
+        ],
     )
     def test_usage_error_bad_number(self, tmp_path, capsys, argv):
         # such numbers would run on to a wrong report
@@ -157,6 +164,24 @@ class TestSolve:
         assert run(tmp_path, "solve", "--h-csv", str(tmp_path / "h.csv")) == 0
         rep = read_json(tmp_path, "report.json")
         assert rep["config"]["h_csv"].endswith("h.csv")
+
+    def test_constants_computed_once(self, tmp_path, monkeypatch):
+        # certify poses the problem once and the branch solvers read it; the
+        # second operator_norm_b is build_forcing's automatic amplitude
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (solver, cli):
+            for name in ("radii_certificate", "coercivity_a", "operator_norm_b"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        assert run(tmp_path, "solve") == 0
+        assert calls == {"radii_certificate": 1, "coercivity_a": 1, "operator_norm_b": 2}
 
     def test_profile_flags(self, tmp_path):
         assert run(tmp_path, "solve", "--h-profile", "torsion",

@@ -17,7 +17,7 @@ from bifrac.greenop import (
     operator_norm_b,
 )
 from bifrac.kernels import KernelParams, green_ball
-from bifrac.solver import newton_second, picard_minimal
+from bifrac.solver import certify, newton_second, picard_minimal
 
 from conftest import torsion_exact
 from panel_quadrature import green_matrix_row, green_row_integral
@@ -186,15 +186,15 @@ class TestOperator:
         greenop.GreenOperator(grid, KernelParams(alpha=1.37))
         assert time.perf_counter() - t0 < 0.5
 
-    def test_second_branch_converges_under_refinement(self, h_certified, kp):
+    def test_second_branch_converges_under_refinement(self, h_certified, kp, spec):
         # bump forcing at half the certificate threshold, resolved on three
         # nested grids; the change 129 -> 257 must shrink, not stall
         amp = float(h_certified.values.max())
         second = {}
         for n in (65, 129, 257):
             h = GridFunction.from_callable(make_grid(n), lambda x: amp * (1 - x**2))
-            low = picard_minimal(h, 2.0, kp)
-            second[n] = newton_second(h, 2.0, kp, low.u).u.values
+            rep = certify(h, 2.0, spec, kp)
+            second[n] = newton_second(rep, picard_minimal(rep).u).u.values
         step1 = np.abs(second[129][::2] - second[65]).max()
         step2 = np.abs(second[257][::2] - second[129]).max()
         assert step2 <= 0.1 * step1

@@ -22,8 +22,9 @@ from bifrac.kernels import (
     poisson_total_mass,
     w_factor,
 )
+from bifrac.cone import ConeSpec
 from bifrac.greenop import GridFunction, apply_green, make_grid
-from bifrac.solver import newton_second, picard_minimal
+from bifrac.solver import certify, newton_second, picard_minimal
 from bifrac.cli import RunConfig, build_forcing
 
 from conftest import torsion_exact
@@ -360,8 +361,9 @@ class TestPrincipalValue:
         for n in (65, 129):
             grid = make_grid(n)
             h = build_forcing(RunConfig(alpha=alpha, grid_n=n), kp_a)
-            low = picard_minimal(h, 2.0, kp_a)
-            high = newton_second(h, 2.0, kp_a, low)
+            rep = certify(h, 2.0, ConeSpec.for_kernel(kp_a), kp_a)
+            low = picard_minimal(rep)
+            high = newton_second(rep, low)
             ones = apply_green(GridFunction(grid, np.ones(n)), kp_a)
             worst = 0.0
             for u in (ones, low.u, high.u):

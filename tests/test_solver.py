@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,15 +63,27 @@ class TestCertify:
         vals = (1 - grid65.nodes**2) * (1 + 0.1 * grid65.nodes)
         with pytest.raises(ValueError):
             certify(GridFunction(grid65, vals), 2.0, spec, kp)
-        # the second branch is solved on the even half, which needs an even forcing
-        with pytest.raises(ValueError):
-            newton_second(GridFunction(grid65, vals), 2.0, kp, GridFunction(grid65, vals), spec=spec)
+
+    def test_problem_object_rejects_asymmetric_forcing(self, h_certified, grid65, kp, spec):
+        # the second branch is solved on the even half, which needs an even
+        # forcing: the report the solvers take cannot be built without one
+        vals = (1 - grid65.nodes**2) * (1 + 0.1 * grid65.nodes)
+        rep = certify(h_certified, 2.0, spec, kp)
+        with pytest.raises(ValueError, match="even"):
+            dataclasses.replace(rep, h=GridFunction(grid65, vals))
+
+    def test_report_poses_the_problem(self, h_certified, kp, spec):
+        rep = certify(h_certified, 2.0, spec, kp)
+        assert rep.h is h_certified and rep.p == 2.0 and rep.kp is kp and rep.spec is spec
+        assert np.array_equal(rep.u0.values, apply_green(h_certified, kp).values)
+        assert rep.u0_sup == rep.u0.sup_norm
+        assert set(rep.to_dict()) == {"b", "a_coerc", "c_p", "u0_sup", "lhs", "pass", "margin", "radii"}
 
 
 class TestMinimalBranch:
     def test_converges_inside_small_ball(self, h_certified, kp, spec):
         rep = certify(h_certified, 2.0, spec, kp)
-        res = picard_minimal(h_certified, 2.0, kp, spec=spec)
+        res = picard_minimal(rep)
         assert res.converged and res.status == "converged"
         assert res.branch == "minimal"
         assert res.fixed_point_residual < 1e-9
@@ -81,16 +94,16 @@ class TestMinimalBranch:
     def test_iterates_dominate_forced_term(self, h_certified, kp, spec):
         # u = G(u^p) + G(h) with G positivity-preserving forces u >= G(h)
         u0 = apply_green(h_certified, kp)
-        res = picard_minimal(h_certified, 2.0, kp, spec=spec)
+        res = picard_minimal(certify(h_certified, 2.0, spec, kp))
         assert (res.u.values - u0.values).min() >= -1e-13
 
     def test_zero_forcing_returns_zero(self, grid65, kp, spec):
         h = GridFunction(grid65, np.zeros(65))
-        res = picard_minimal(h, 2.0, kp, spec=spec)
+        res = picard_minimal(certify(h, 2.0, spec, kp))
         assert res.converged and res.u.sup_norm == 0.0 and res.iterations == 0
 
     def test_divergence_past_threshold(self, h_certified, kp, spec):
-        res = picard_minimal(scaled(h_certified, 10.0), 2.0, kp, spec=spec)
+        res = picard_minimal(certify(scaled(h_certified, 10.0), 2.0, spec, kp))
         assert not res.converged
         assert res.status == "diverged"
 
@@ -98,8 +111,8 @@ class TestMinimalBranch:
 class TestSecondBranch:
     def test_finds_distinct_solution(self, h_certified, kp, spec):
         rep = certify(h_certified, 2.0, spec, kp)
-        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
-        res = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
+        low = picard_minimal(rep)
+        res = newton_second(rep, low.u)
         assert res.converged and res.branch == "second"
         assert res.fixed_point_residual < 1e-11
         assert res.in_cone
@@ -108,17 +121,19 @@ class TestSecondBranch:
         assert sep > rep.radii.rho2 - rep.radii.rho1
 
     def test_strong_residuals_both_branches(self, h_certified, kp, spec):
-        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
-        high = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
+        rep = certify(h_certified, 2.0, spec, kp)
+        low = picard_minimal(rep)
+        high = newton_second(rep, low.u)
         for res in (low, high):
-            worst = residual_strong(res, h_certified, 2.0, kp)
+            worst = residual_strong(res, rep)
             assert worst < 1e-2
             assert res.strong_residual == worst
 
     def test_jacobian_matches_finite_differences(self, h_certified, kp, spec):
         # the Newton model linearizes u - M u^p - u0 as I - M diag(p u^{p-1})
-        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
-        res = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
+        rep = certify(h_certified, 2.0, spec, kp)
+        low = picard_minimal(rep)
+        res = newton_second(rep, low.u)
         M = get_operator(h_certified.grid, kp).matrix
         u0vec = M @ h_certified.values
         u = res.u.values
@@ -136,9 +151,7 @@ class TestProbes:
     def test_compression_expansion_margins(self, h_certified, kp, spec):
         rep = certify(h_certified, 2.0, spec, kp)
         r = rep.radii
-        at = lambda rho: krasnoselskii_probe(
-            rho, h_certified, 2.0, kp, spec, count=60, seed=7
-        )
+        at = lambda rho: krasnoselskii_probe(rho, rep, count=60, seed=7)
         inner, middle, outer = at(r.rho1), at(r.rho2), at(r.rho3)
         assert inner.min_T > r.rho1  # expansion on the small sphere
         assert middle.max_T < r.rho2  # compression at the middle radius
@@ -182,8 +195,9 @@ class TestFoldSweep:
         lam = 2.0 ** (1.0 / (p - 1.0))  # lambda_cert of the auto amplitude
         sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
         assert sw.fold_status == "converged"
-        below = picard_minimal(scaled(h, sw.fold_estimate * (1 - 1e-5)), p, kp_a, max_iter=50_000)
-        above = picard_minimal(scaled(h, sw.fold_estimate * (1 + 1e-5)), p, kp_a, max_iter=50_000)
+        posed = lambda lam: certify(scaled(h, lam), p, ConeSpec.for_kernel(kp_a), kp_a)
+        below = picard_minimal(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
+        above = picard_minimal(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
         assert below.status == "converged"
         assert above.status == "diverged"
 
@@ -203,8 +217,9 @@ class TestFoldSweep:
         sw = fold_sweep(h_certified, 2.0, kp, 0.5, 1.5, 3)
         pt = sw.points[1]
         assert pt.lam == 1.0 and pt.n_found == 2
-        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
-        high = newton_second(h_certified, 2.0, kp, low.u, spec=spec)
+        rep = certify(h_certified, 2.0, spec, kp)
+        low = picard_minimal(rep)
+        high = newton_second(rep, low.u)
         assert pt.sup_second == pytest.approx(high.u.sup_norm, rel=1e-12, abs=0.0)
 
     def test_fold_past_a_one_branch_point(self):
@@ -220,8 +235,9 @@ class TestFoldSweep:
         assert sw.points[1].lam < sw.fold_estimate < sw.points[2].lam
         fine = fold_sweep(h, 3.0, kp_a, 1.6, 2.3, 15)
         assert fine.fold_estimate == pytest.approx(sw.fold_estimate, rel=1e-12, abs=0.0)
-        below = picard_minimal(scaled(h, sw.fold_estimate * (1 - 1e-5)), 3.0, kp_a, max_iter=50_000)
-        above = picard_minimal(scaled(h, sw.fold_estimate * (1 + 1e-5)), 3.0, kp_a, max_iter=50_000)
+        posed = lambda lam: certify(scaled(h, lam), 3.0, ConeSpec.for_kernel(kp_a), kp_a)
+        below = picard_minimal(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
+        above = picard_minimal(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
         assert below.status == "converged"
         assert above.status == "diverged"
 
@@ -297,8 +313,9 @@ class TestEvenHalf:
             cfg = RunConfig(alpha=alpha, p=p)
             kp_a = cfg.kernel_params()
             h = build_forcing(cfg, kp_a)
-            low = picard_minimal(h, p, kp_a)
-            high = newton_second(h, p, kp_a, low)
+            rep = certify(h, p, ConeSpec.for_kernel(kp_a), kp_a)
+            low = picard_minimal(rep)
+            high = newton_second(rep, low)
             M = get_operator(h.grid, kp_a).matrix
             u0vec = M @ h.values
             scalar = ScalarProblem(b=operator_norm_b(kp_a, p), u0=float(np.abs(u0vec).max()), p=p)
@@ -310,8 +327,8 @@ class TestEvenHalf:
             assert np.abs(high.u.values - full).max() <= 1e-14 * np.abs(full).max()
 
     def test_branches_are_palindromes(self, h_certified, kp, spec):
-        low = picard_minimal(h_certified, 2.0, kp, spec=spec)
-        high = newton_second(h_certified, 2.0, kp, low.u, spec=spec).u.values
+        rep = certify(h_certified, 2.0, spec, kp)
+        high = newton_second(rep, picard_minimal(rep).u).u.values
         assert np.array_equal(high, high[::-1])
         # the sweep's branches, expanded, are palindromes that follow the
         # full-grid ones to rounding
