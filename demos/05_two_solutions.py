@@ -40,8 +40,8 @@ def main():
 
     low = picard_minimal(rep)
     high = newton_second(rep, low.u)
+    residual_strong([low, high], rep)
     for res in (low, high):
-        residual_strong(res, rep)
         print(
             f"{res.branch:8s} sup = {res.u.sup_norm:.6f}  fixed-point residual {res.fixed_point_residual:.1e}"
             f"  strong residual {res.strong_residual:.1e}  in cone: {res.in_cone}"

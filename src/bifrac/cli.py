@@ -12,7 +12,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -23,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .cone import ConeSpec, verify_invariance
-from .greenop import GridFunction, apply_green, gamma_U, make_grid, operator_norm_b
+from .greenop import GridFunction, _write_csv_lines, apply_green, gamma_U, make_grid, operator_norm_b
 from .kernels import (
     KernelParams,
     green_ball,
@@ -282,12 +281,8 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
         rows.append(("poisson", x, y, f"{r:.17g}", float(poisson_ball(x, y, r, kp))))
     if not rows:
         raise ValueError("nothing to evaluate: pass --green, --w or --poisson points")
-    path = os.path.join(_resolve_outdir(cfg), "kernel.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "x", "y", "r", "value"])
-        for kind, x, y, r, value in rows:
-            writer.writerow([kind, f"{x:.17g}", f"{y:.17g}", r, f"{value:.17g}"])
+    lines = (f"{kind},{x:.17g},{y:.17g},{r},{value:.17g}" for kind, x, y, r, value in rows)
+    _write_csv_lines(os.path.join(_resolve_outdir(cfg), "kernel.csv"), ["kind,x,y,r,value", *lines])
     return 0
 
 
@@ -341,9 +336,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
     rmin = picard_minimal(cert, tol=cfg.solve_tol)
     rsec = newton_second(cert, rmin, tol=cfg.solve_tol)
-    for res in (rmin, rsec):
-        if res.converged:
-            residual_strong(res, cert)
+    residual_strong([res for res in (rmin, rsec) if res.converged], cert)
     separation = float(np.abs(rsec.u.values - rmin.u.values).max())
     sep_needed = (cert.radii.rho2 - cert.radii.rho1) if cert.passed else 1e-7
     distinct = rmin.converged and rsec.converged and separation > sep_needed
@@ -488,13 +481,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         scalar_model=cfg.scalar,
     )
     outdir = _resolve_outdir(cfg)
-    with open(os.path.join(outdir, "branches.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "n_found", "sup_minimal", "sup_second"])
-        for pt in result.points:
-            writer.writerow(
-                [f"{pt.lam:.17g}", pt.n_found, f"{pt.sup_minimal:.17g}", f"{pt.sup_second:.17g}"]
-            )
+    lines = (
+        f"{pt.lam:.17g},{pt.n_found},{pt.sup_minimal:.17g},{pt.sup_second:.17g}" for pt in result.points
+    )
+    _write_csv_lines(os.path.join(outdir, "branches.csv"), ["lambda,n_found,sup_minimal,sup_second", *lines])
     write_report(
         os.path.join(outdir, "fold.json"),
         {

@@ -55,6 +55,9 @@ class Grid:
 
     n: int
     nodes: np.ndarray = field(init=False, repr=False)
+    # the quadrature plan of kernels.frac_laplacian_pv for the last points
+    # evaluated on this grid: it depends on the nodes and the points only
+    pv_plan: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -110,11 +113,9 @@ class GridFunction:
         return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for x, v in zip(self.grid.nodes, self.values):
-                writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+        """x,value rows with 17 significant digits, as csv.writer would write them."""
+        rows = zip(self.grid.nodes.tolist(), self.values.tolist())
+        _write_csv_lines(path, ["x,value", *(f"{x:.17g},{v:.17g}" for x, v in rows)])
 
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
@@ -136,18 +137,29 @@ class GridFunction:
         return cls(grid, [float(row[1]) for row in rows])
 
 
+def _write_csv_lines(path, lines):
+    """Write comma-separated lines in one go, with the \\r\\n endings of csv.writer.
+
+    The bytes are csv.writer's as long as no field needs quoting, which
+    numbers and plain words never do.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"{line}\r\n" for line in lines))
+
+
 def _jacobi_vandermonde(x: np.ndarray, n: int, s: float) -> np.ndarray:
-    """V_jk = P_k^(s,s)(x_j) for k < n, by the three-term recurrence."""
-    V = np.empty((x.size, n))
-    V[:, 0] = 1.0
-    V[:, 1] = (s + 1.0) * x
+    """W[k] = P_k^(s,s)(x) for k < n, one contiguous row per degree, by the
+    three-term recurrence: the transpose of V_jk = P_k^(s,s)(x_j)."""
+    W = np.empty((n, x.size))
+    W[0] = 1.0
+    W[1] = (s + 1.0) * x
     for k in range(2, n):
         c = 2.0 * (k + s)
-        V[:, k] = (
-            (c - 1.0) * c * (c - 2.0) * x * V[:, k - 1]
-            - 2.0 * (k + s - 1.0) ** 2 * c * V[:, k - 2]
+        W[k] = (
+            (c - 1.0) * c * (c - 2.0) * x * W[k - 1]
+            - 2.0 * (k + s - 1.0) ** 2 * c * W[k - 2]
         ) / (2.0 * k * (k + 2.0 * s) * (c - 2.0))
-    return V
+    return W
 
 
 class GreenOperator:
@@ -163,11 +175,11 @@ class GreenOperator:
         nodes = self.grid.nodes
         n = nodes.size
         alpha, s = self.kp.alpha, self.kp.alpha / 2.0
-        V = _jacobi_vandermonde(nodes, n, s)
+        W = _jacobi_vandermonde(nodes, n, s)  # V^T
         lam = np.exp([math.lgamma(alpha + k + 1.0) - math.lgamma(k + 1.0) for k in range(n)])
         mid = (n - 1) // 2
         # rows 1..mid of V diag(1/lam) V^-1, as the solution X of V^T X^T = rows^T
-        rows = np.linalg.solve(V.T, (V[1 : mid + 1] / lam).T).T
+        rows = np.linalg.solve(W, W[:, 1 : mid + 1] / lam[:, None]).T
         M = np.zeros((n, n))
         M[1 : mid + 1] = (1.0 - nodes[1 : mid + 1] ** 2)[:, None] ** s * rows
         # the center row is palindromic exactly; mirror the computed left

@@ -360,7 +360,11 @@ def poisson_total_mass(x, r: float, kp: KernelParams):
 
 
 class _Barycentric:
-    """Polynomial through (nodes, values), in barycentric form with the given weights."""
+    """Polynomials through (nodes, values), in barycentric form with the given weights.
+
+    values is one vector of node values or a stack of them, one polynomial
+    per row, all evaluated over the same reciprocals 1/(y - nodes).
+    """
 
     # largest temporary, in doubles, of one chunk of points
     CHUNK = 1 << 16
@@ -369,14 +373,17 @@ class _Barycentric:
         self.nodes, self.weights, self.values = nodes, weights, values
 
     def __call__(self, y):
-        """Values at real or complex points y."""
+        """Values at real or complex points y: shape y.shape, or (rows,) + y.shape for a stack."""
         y = np.asarray(y)
         flat = y.ravel()
         nodes = self.nodes
+        stack = self.values.reshape(-1, nodes.size)
         at = np.minimum(np.searchsorted(nodes, flat), nodes.size - 1)
         hit = np.flatnonzero(nodes[at] == flat)
-        out = np.empty(flat.size, dtype=np.result_type(flat, float))
-        rhs = np.stack([self.weights * self.values, self.weights], axis=1)
+        out = np.empty((len(stack), flat.size), dtype=np.result_type(flat, float))
+        # one product of the same shape per polynomial, so its values do not
+        # depend on how many polynomials are evaluated together
+        rhs = [np.stack([self.weights * v, self.weights], axis=1) for v in stack]
         rows = max(1, self.CHUNK // nodes.size)
         buf = np.empty((min(rows, flat.size), nodes.size), dtype=out.dtype)
         # a point on a node gives inf/inf here and takes the node's value below
@@ -385,27 +392,28 @@ class _Barycentric:
                 C = buf[: flat.size - lo]
                 np.subtract(flat[lo : lo + rows, None], nodes, out=C)
                 np.reciprocal(C, out=C)
-                num, den = (C @ rhs).T
-                out[lo : lo + rows] = num / den
-        out[hit] = self.values[at[hit]]
-        return out.reshape(y.shape)
+                for o, r in zip(out, rhs):
+                    num, den = (C @ r).T
+                    o[lo : lo + rows] = num / den
+        out[:, hit] = stack[:, at[hit]]
+        return out.reshape(self.values.shape[:-1] + y.shape)
 
 
-def _interpolant(u, kp: KernelParams | None) -> _Barycentric:
-    """Plain (kp None): the polynomial through all node values of u.
-    Weighted: the polynomial q through u/w at the interior nodes."""
-    nodes = u.grid.nodes
+def _interpolant(nodes, values, kp: KernelParams | None) -> _Barycentric:
+    """Plain (kp None): the polynomial through all node values.
+    Weighted: the polynomial q through u/w at the interior nodes.
+    values is one vector of node values or a stack of them."""
     # barycentric weights of the Chebyshev extrema, and of the interior ones,
     # which are the roots of U_(n-2)
     sign = (-1.0) ** np.arange(nodes.size)
     if kp is None:
         weights = sign.copy()
         weights[[0, -1]] *= 0.5
-        return _Barycentric(nodes, weights, u.values)
+        return _Barycentric(nodes, weights, values)
     inner = slice(1, -1)
     x = nodes[inner]
     r = 1.0 - x * x
-    return _Barycentric(x, sign[inner] * r, u.values[inner] / r ** (kp.alpha / 2.0))
+    return _Barycentric(x, sign[inner] * r, values[..., inner] / r ** (kp.alpha / 2.0))
 
 
 def interpolate(u, x, kp: KernelParams | None = None):
@@ -419,7 +427,7 @@ def interpolate(u, x, kp: KernelParams | None = None):
     carries the boundary singularity no polynomial can.
     """
     x = np.asarray(x, dtype=float)
-    out = _interpolant(u, kp)(x)
+    out = _interpolant(u.grid.nodes, u.values, kp)(x)
     if kp is not None:
         out *= (1.0 - x * x) ** (kp.alpha / 2.0)
     return out if out.shape else float(out)
@@ -432,12 +440,76 @@ def _gauss_panels(edges):
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
+class _PVPlan:
+    """The alpha-free quadrature geometry of frac_laplacian_pv on one grid at one tuple of points.
+
+    Holds the shared far Gauss points `y_far` on every node gap (the end
+    gaps graded toward +-1), each point's near dyadic panels (`y_near`,
+    point after point), its ball radius `eps` and circle points `z`, and,
+    flat and point after point, the quadrature rule of each point:
+    indices `take` into y_far followed by y_near, weights `wq` and
+    distances `dist` = |x - y|, in the order the sum runs; point i has
+    `counts[i]` entries, at `bounds[i]`.  Building one validates the
+    points.
+    """
+
+    def __init__(self, nodes, points: tuple):
+        self.points = points
+        gaps = np.diff(nodes)
+        n = nodes.size
+        x = np.array(points, dtype=float)
+        inside = (-1.0 < x) & (x < 1.0)
+        i = np.clip(np.searchsorted(nodes, x), 1, n - 1)
+        local = np.maximum(gaps[i - 1], gaps[np.minimum(i, n - 2)])
+        bad = ~inside | (1.0 - np.abs(x) < 2.0 * local)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if not inside[k]:
+                raise ValueError(f"evaluation point {points[k]} outside (-1, 1)")
+            raise ValueError(f"point {points[k]} too close to the boundary for the node spacing here")
+
+        halvings = 0.5 ** np.arange(_PV_EDGE_LEVELS, 0, -1)
+        edges = np.concatenate(
+            [[-1.0], -1.0 + gaps[0] * halvings, nodes[1:-1], 1.0 - gaps[-1] * halvings[::-1], [1.0]]
+        )
+        y_far, wq_far = _gauss_panels(edges)
+        # the gaps lo..hi around each point, and the ball radius
+        j = np.searchsorted(edges, x, side="right") - 1
+        lo, hi = edges[np.maximum(j - 1, 0)], edges[np.minimum(j + 2, edges.size - 1)]
+        eps = np.minimum(0.5 * np.minimum(x - lo, hi - x), (1.0 - np.abs(x)) / 32.0)
+        self.x, self.eps, self.y_far = x, eps, y_far
+        self.z = x[:, None] + eps[:, None] * np.exp(2j * np.pi * np.arange(_PV_CIRCLE) / _PV_CIRCLE)
+
+        y_near, take, wq, dist, self.counts = [], [], [], [], []
+        for xi, a, b, e in zip(points, lo, hi, eps):
+            # panels graded dyadically from the ends of the three gaps down
+            # to the ball; the ball's own panel is left out
+            dyadic = e * 2.0 ** np.arange(60)
+            left, right = xi - dyadic[xi - dyadic > a], xi + dyadic[xi + dyadic < b]
+            y, w = _gauss_panels(np.concatenate([[a], left[::-1], right, [b]]))
+            outside = np.abs(y - xi) > e
+            y, w = y[outside], w[outside]
+            far = np.flatnonzero((y_far < a) | (y_far > b))
+            take += [far, y_far.size + sum(map(len, y_near)) + np.arange(y.size)]
+            y_near.append(y)
+            wq += [wq_far[far], w]
+            dist.append(np.abs(xi - np.concatenate([y_far[far], y])))
+            self.counts.append(far.size + y.size)
+        ends = np.cumsum(self.counts).tolist()
+        self.bounds = list(zip([0, *ends[:-1]], ends))
+        self.y_near, self.take = np.concatenate(y_near), np.concatenate(take)
+        self.wq, self.dist = np.concatenate(wq), np.concatenate(dist)
+
+
 def frac_laplacian_pv(u, x, kp: KernelParams):
     """(-Delta)^(alpha/2) of a grid function at interior points x, vectorized.
 
-    u is a GridFunction (extends by zero outside [-1,1]), read as its
-    weighted interpolant u = w q (see `interpolate`), built once per call
-    however many points x holds.  The integral is split three ways:
+    u is a GridFunction (extends by zero outside [-1,1]), or a sequence of
+    GridFunctions on one grid, for which a list of results comes back, one
+    per function, each equal to a call with that function alone.  Each is
+    read as its weighted interpolant u = w q (see `interpolate`), built
+    once per call however many points x holds.  The integral is split
+    three ways:
 
     - the ball |y-x| < eps gives -sum_k u_k 2 eps^(k-alpha)/(k-alpha) over
       even k = 2..6, u_k the Taylor coefficients of u at x (odd orders
@@ -460,59 +532,55 @@ def frac_laplacian_pv(u, x, kp: KernelParams):
     eps^(-alpha); a ball this size, rather than one tied to the smallest
     node gap, keeps that near 1e-11 up to n = 513.
 
+    None of that geometry depends on alpha or on u: it is a plan
+    (`_PVPlan`) kept in the grid's one slot for the last points evaluated
+    there, and make_grid keeps one grid per size, so a call builds it only
+    for new points.  Every function of a call is evaluated over the same
+    reciprocals 1/(y - x_j) of its interpolant.
+
     Points too close to the endpoints are rejected: solutions carry a
     boundary singularity there and the quadrature cannot be trusted.
     """
+    single = hasattr(u, "grid")
+    funcs = [u] if single else list(u)
+    if not funcs:
+        return []
+    grid = funcs[0].grid
+    if any(f.grid.n != grid.n for f in funcs):
+        raise ValueError("the functions must share one grid")
     alpha, s = kp.alpha, kp.alpha / 2.0
-    nodes = u.grid.nodes
-    gaps = np.diff(nodes)
     xs = np.asarray(x, dtype=float)
-    points = xs.ravel().tolist()
-    for xi in points:
-        if not -1.0 < xi < 1.0:
-            raise ValueError(f"evaluation point {xi} outside (-1, 1)")
-        i = int(np.searchsorted(nodes, xi))
-        local = float(gaps[max(i - 1, 0) : min(i + 1, len(gaps))].max())
-        if 1.0 - abs(xi) < 2.0 * local:
-            raise ValueError(f"point {xi} too close to the boundary for the node spacing here")
+    points = tuple(xs.ravel().tolist())
+    plan = grid.pv_plan
+    if plan is None or plan.points != points:
+        plan = _PVPlan(grid.nodes, points)
+        # Grid is frozen for its size and nodes; this slot is a cache
+        object.__setattr__(grid, "pv_plan", plan)
 
-    q = _interpolant(u, kp)
+    q = _interpolant(grid.nodes, np.array([f.values for f in funcs]), kp)
     weight = lambda y: (1.0 - y * y) ** s
-    halvings = 0.5 ** np.arange(_PV_EDGE_LEVELS, 0, -1)
-    edges = np.concatenate(
-        [[-1.0], -1.0 + gaps[0] * halvings, nodes[1:-1], 1.0 - gaps[-1] * halvings[::-1], [1.0]]
+    # u on the shared far points, then on every point's near panels, and on
+    # the circles, one row per function
+    u_y = np.concatenate(
+        [weight(plan.y_far) * q(plan.y_far), weight(plan.y_near) * q(plan.y_near)], axis=1
     )
-    y_far, wq_far = _gauss_panels(edges)
-    u_far = weight(y_far) * q(y_far)
-    # the gaps lo..hi around each point, and the ball radius
-    xv = np.array(points)
-    j = np.searchsorted(edges, xv, side="right") - 1
-    lo, hi = edges[np.maximum(j - 1, 0)], edges[np.minimum(j + 2, edges.size - 1)]
-    eps = np.minimum(0.5 * np.minimum(xv - lo, hi - xv), (1.0 - np.abs(xv)) / 32.0)
-    # u_k eps^k, u_k the Taylor coefficients of u = w q at x, by Cauchy's
-    # formula on the circle |z - x| = eps: the DFT of u there
-    z = xv[:, None] + eps[:, None] * np.exp(2j * np.pi * np.arange(_PV_CIRCLE) / _PV_CIRCLE)
-    scaled = (np.fft.fft(weight(z) * q(z), axis=1) / _PV_CIRCLE).real
+    u_z = weight(plan.z) * q(plan.z)
+    xv, eps = plan.x, plan.eps
     even = np.arange(2, _PV_CIRCLE // 2, 2)
-    ux = scaled[:, 0]  # the mean of u on the circle
-    ball = -2.0 * eps**-alpha * (scaled[:, even] @ (1.0 / (even - alpha)))
-    exterior = ux * ((1.0 - xv) ** (-alpha) + (1.0 + xv) ** (-alpha)) / alpha
-
-    near = []
-    for xi, a, b, e in zip(points, lo, hi, eps):
-        dyadic = e * 2.0 ** np.arange(60)
-        left, right = xi - dyadic[xi - dyadic > a], xi + dyadic[xi + dyadic < b]
-        y, wq = _gauss_panels(np.concatenate([[a], left[::-1], right, [b]]))
-        outside = np.abs(y - xi) > e  # the ball's own panel is left out
-        near.append((y[outside], wq[outside]))
-    y_near = np.concatenate([y for y, _ in near])
-    u_near = np.split(weight(y_near) * q(y_near), np.cumsum([y.size for y, _ in near])[:-1])
+    ball_scale, taylor = -2.0 * eps**-alpha, 1.0 / (even - alpha)
+    edge = (1.0 - xv) ** (-alpha) + (1.0 + xv) ** (-alpha)
+    kernel = plan.dist ** (1.0 + alpha)
+    c = norm_const(1, -alpha)
     out = []
-    for i, xi in enumerate(points):
-        far = (y_far < lo[i]) | (y_far > hi[i])
-        y = np.concatenate([y_far[far], near[i][0]])
-        wq = np.concatenate([wq_far[far], near[i][1]])
-        uy = np.concatenate([u_far[far], u_near[i]])
-        quad = float(wq @ ((ux[i] - uy) / np.abs(xi - y) ** (1.0 + alpha)))
-        out.append(norm_const(1, -alpha) * (quad + ball[i] + exterior[i]))
-    return np.array(out).reshape(xs.shape) if xs.shape else float(out[0])
+    for uy, uz in zip(u_y, u_z):
+        # u_k eps^k, u_k the Taylor coefficients of u = w q at x, by Cauchy's
+        # formula on the circle |z - x| = eps: the DFT of u there
+        scaled = (np.fft.fft(uz, axis=1) / _PV_CIRCLE).real
+        ux = scaled[:, 0]  # the mean of u on the circle
+        ball = ball_scale * (scaled[:, even] @ taylor)
+        exterior = ux * edge / alpha
+        terms = (np.repeat(ux, plan.counts) - uy[plan.take]) / kernel
+        quad = np.array([plan.wq[a:b] @ terms[a:b] for a, b in plan.bounds])
+        vals = c * (quad + ball + exterior)
+        out.append(vals.reshape(xs.shape) if xs.shape else float(vals[0]))
+    return out[0] if single else out

@@ -15,6 +15,8 @@ from bifrac import cli, solver
 from bifrac.cli import RunConfig, main
 from bifrac.greenop import GridFunction, make_grid
 
+from csv_reference import write_branches
+
 
 def run(tmp_path, *argv):
     return main([*argv, "--outdir", str(tmp_path)])
@@ -136,6 +138,8 @@ class TestKernel:
         assert lines[1] == "green,0,0.5,,0.35646685935169642"
         assert lines[2] == "w,0,0.5,,3"
         assert lines[3].startswith("poisson,0,1.5,1,0.1269291467614924")
+        # csv.writer's line endings
+        assert (tmp_path / "kernel.csv").read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
 class TestSolve:
@@ -222,6 +226,16 @@ class TestSweep:
         lines = (tmp_path / "branches.csv").read_text().splitlines()
         assert lines[0] == "lambda,n_found,sup_minimal,sup_second"
         assert len(lines) == 8
+
+    def test_branches_csv_bytes_match_csv_writer(self, tmp_path):
+        # points past the fold carry nan sups
+        assert run(tmp_path, "sweep", "--steps", "5") == 0
+        cfg = RunConfig(steps=5)
+        kp = cfg.kernel_params()
+        res = solver.fold_sweep(cli.build_forcing(cfg, kp), cfg.p, kp, cfg.lambda_lo, cfg.lambda_hi, cfg.steps)
+        assert any(np.isnan(pt.sup_second) for pt in res.points)
+        write_branches(res.points, tmp_path / "old.csv")
+        assert (tmp_path / "branches.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_default_fold_reaches_picard_convergence(self, tmp_path):
         # monotone Picard from zero still converges at 2.79678, so the fold

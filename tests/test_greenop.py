@@ -19,7 +19,9 @@ from bifrac.greenop import (
 from bifrac.kernels import KernelParams, green_ball
 from bifrac.solver import certify, newton_second, picard_minimal
 
+from column_vandermonde import jacobi_vandermonde, operator_matrix
 from conftest import torsion_exact
+from csv_reference import write_grid_function
 from panel_quadrature import green_matrix_row, green_row_integral
 
 ORDERS = (1.05, 1.5, 1.95)
@@ -78,8 +80,33 @@ class TestGrid:
         assert back.grid is make_grid(65)
         assert np.array_equal(back.values, u.values)
 
+    @pytest.mark.parametrize("n", [33, 65, 257])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, n):
+        g = make_grid(n)
+        values = np.sin(np.pi * g.nodes) * (1 - g.nodes**2)
+        values[[1, 2, 3, 4, 5]] = [np.nan, -0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0]
+        u = GridFunction(g, values)
+        u.write_csv(tmp_path / "new.csv")
+        write_grid_function(u, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = GridFunction.read_csv(tmp_path / "new.csv")
+        assert back.grid is g
+        assert np.array_equal(back.values, u.values, equal_nan=True)
+        assert np.array_equal(np.signbit(back.values), np.signbit(u.values))
+
 
 class TestOperator:
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_row_built_vandermonde_is_bit_identical(self, alpha, n):
+        # one contiguous row per degree does the same arithmetic per entry
+        # as the strided columns it replaced, down to the operator matrix
+        nodes = make_grid(n).nodes
+        V = jacobi_vandermonde(nodes, n, alpha / 2.0)
+        assert np.array_equal(greenop._jacobi_vandermonde(nodes, n, alpha / 2.0), V.T)
+        op = greenop.GreenOperator(make_grid(n), KernelParams(alpha=alpha))
+        assert np.array_equal(op.matrix, operator_matrix(nodes, alpha))
+
     def test_torsion_oracle_across_orders(self):
         # G applied to 1 has a closed form; nail it at every interior node
         for alpha in (1.05, 1.2, 1.5, 1.8, 1.95):
