@@ -22,11 +22,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .cone import ConeSpec, verify_invariance
-from .greenop import GridFunction, _write_csv_lines, apply_green, gamma_U, make_grid, operator_norm_b
+from .greenop import GridFunction, _write_csv_lines, apply_green, make_grid, operator_norm_b
 from .kernels import (
     KernelParams,
+    _GreenPlan,
     green_ball,
-    green_interval,
     poisson_ball,
     poisson_total_mass,
     w_factor,
@@ -367,13 +367,48 @@ def _green_ratio_points(a_half: float):
     return np.concatenate([-xp[:0:-1], xp]), np.unique(ys)
 
 
+@functools.lru_cache(maxsize=4)
+def _green_ratio_plans(a_half: float) -> tuple:
+    """Kernel plans of the ratio table over _green_ratio_points and of its
+    row G(0, y), kept for the last few core widths."""
+    xs, ys = _green_ratio_points(a_half)
+    return _GreenPlan(xs[:, None], ys[None, :]), _GreenPlan(np.zeros_like(ys), ys)
+
+
 def _green_ratio_table(a_half: float, kp: KernelParams) -> float:
     """Minimum of G(x,y)/G(0,y) over _green_ratio_points: the lemma's check
     on gamma_U.  G(-x,-y) equals G(x,y) bit for bit and the x grid is an
     exact mirror, so the y < 0 half of the table would repeat this half."""
-    xs, ys = _green_ratio_points(a_half)
-    G = green_ball(xs[:, None], ys[None, :], kp)
-    return float((G.min(axis=0) / green_ball(np.zeros_like(ys), ys, kp)).min())
+    table, zero_row = _green_ratio_plans(a_half)
+    return float((table.evaluate(kp).min(axis=0) / zero_row.evaluate(kp)).min())
+
+
+@functools.cache
+def _reflection_plans() -> tuple:
+    """Kernel plans of the reflection and kul checks, one per subinterval
+    W = (2z-1, 1), in W's unit coordinates, with W's radius.
+
+    The unit coordinate grid must be exactly antisymmetric, otherwise
+    reflected pairs near the diagonal differ at rounding level and the
+    kernel's |x-y|^(alpha-1) cusp amplifies that far above the threshold.
+    Each plan holds the reflected pairs (-S,-T), (S,T) and (-S,T), (S,-T),
+    then kul's same side (S2,T2) and opposite side (-S2,T2) on the right
+    half of W, with the coordinates green_interval would scale them to.
+    Returns the size of S and the (radius, plan) pairs.
+    """
+    half = np.arange(1, 11) * 0.095
+    st = np.concatenate([-half[::-1], [0.0], half])
+    S, T = np.meshgrid(st, st, indexing="ij")
+    s = np.linspace(0.025, 0.975, 39)
+    S2, T2 = np.meshgrid(s, s, indexing="ij")
+    sx = np.concatenate([a.ravel() for a in (-S, S, -S, S, S2, -S2)])
+    tx = np.concatenate([a.ravel() for a in (-T, T, T, -T, T2, T2)])
+    plans = []
+    for z in (0.1, 0.3, 0.55):
+        r = 1.0 - z
+        # not sx itself: z + sx r shifted back and scaled differs in the last bit
+        plans.append((r, _GreenPlan((z + sx * r - z) / r, (z + tx * r - z) / r)))
+    return S.size, plans
 
 
 def lemma_battery(cfg: RunConfig) -> dict:
@@ -389,7 +424,7 @@ def lemma_battery(cfg: RunConfig) -> dict:
     spec = ConeSpec.for_kernel(kp, a_half=cfg.a_half)
     items = {}
 
-    g1 = gamma_U(cfg.a_half, kp)
+    g1 = spec.gamma
     g2 = _green_ratio_table(cfg.a_half, kp)
     rel = abs(g2 - g1) / g1 if g1 > 0 else float("inf")
     items["green_ratio"] = {
@@ -409,25 +444,13 @@ def lemma_battery(cfg: RunConfig) -> dict:
         "samples": cfg.samples,
     }
 
-    # reflection identities on subintervals W = (2z-1, 1): the unit
-    # coordinate grid must be exactly antisymmetric, otherwise reflected
-    # pairs near the diagonal differ at rounding level and the kernel's
-    # |x-y|^(alpha-1) cusp amplifies that far above the threshold
-    half = np.arange(1, 11) * 0.095
-    st = np.concatenate([-half[::-1], [0.0], half])
-    S, T = np.meshgrid(st, st, indexing="ij")
-    # kul: same-side dominance of the kernel on the right half of W
-    s = np.linspace(0.025, 0.975, 39)
-    S2, T2 = np.meshgrid(s, s, indexing="ij")
-    # one kernel call per z: the reflected pairs (-S,-T), (S,T) and
-    # (-S,T), (S,-T), then kul's same side (S2,T2) and opposite side (-S2,T2)
-    sx = np.concatenate([a.ravel() for a in (-S, S, -S, S, S2, -S2)])
-    tx = np.concatenate([a.ravel() for a in (-T, T, T, -T, T2, T2)])
+    # reflection identities and kul's same-side dominance on subintervals
+    # W = (2z-1, 1), one kernel call per z, scaled as green_interval does
+    size, plans = _reflection_plans()
     worst_refl = worst_kul = 0.0
-    for z in (0.1, 0.3, 0.55):
-        r = 1.0 - z
-        g = green_interval(z + sx * r, z + tx * r, z, r, kp)
-        refl, kul = g[: 4 * S.size].reshape(4, -1), g[4 * S.size :].reshape(2, -1)
+    for r, plan in plans:
+        g = r ** (kp.alpha - 1.0) * plan.evaluate(kp)
+        refl, kul = g[: 4 * size].reshape(4, -1), g[4 * size :].reshape(2, -1)
         both = np.abs(refl[0] - refl[1]).max()
         single = np.abs(refl[2] - refl[3]).max()
         worst_refl = max(worst_refl, float(both), float(single))

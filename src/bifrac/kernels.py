@@ -19,6 +19,12 @@ near-diagonal values exact without special-casing.  Pfaff's transformation
 (DLMF 15.8.1) turns both hypergeometric values into F(1/2, 1; c; x) with
 0 <= x <= 1/2, a power series of positive terms that numpy sums to
 rounding level in at most 54 terms.  Nothing here needs SciPy.
+
+The term count is fixed once per call from the largest argument of the
+batch, so a point's last bit can depend on the points evaluated with
+it.  green_ball hands it two batches, the points with w <= 1 and those
+with w > 1, and a `_GreenPlan` kept for fixed points hands it the same
+two, so it gives what a green_ball call on those points gives.
 """
 
 from __future__ import annotations
@@ -51,8 +57,11 @@ __all__ = [
 _PV_EDGE_LEVELS = 20
 _PV_CIRCLE = 16
 
-# Solver-grade window for the order: the quadrature, the principal-value
-# correction and the two-solution machinery are tuned and tested here.
+# The orders the solve path admits: certify, solve, sweep and the lemma
+# battery are tested on this window only.  Near alpha = 1 the connection
+# formula for I loses digits to cancellation (see inner_integral), and
+# for alpha <= 1 G(0,0) is infinite, so gamma_U and the certificate's
+# coercivity constant vanish.  The kernels themselves take all of (0, 2).
 SOLVER_ALPHA_MIN = 1.05
 SOLVER_ALPHA_MAX = 1.95
 
@@ -192,6 +201,60 @@ def inner_integral(w, kp: KernelParams):
     return out if out.shape else float(out)
 
 
+class _GreenPlan:
+    """The alpha-free geometry of green_ball at fixed points x, y.
+
+    Holds the broadcast shape, which points are inside (None when all
+    are), and the inside points in row-major order, split at w = 1:
+    where w <= 1 (`small`) their w and r = |x-y|, elsewhere their w, r
+    and num = (1-x^2)(1-y^2).  `evaluate(kp)` does only the work that
+    depends on alpha.  The series behind each value fixes its term count
+    from the largest argument of its batch, so a value depends on the
+    other points of its plan, never on what was evaluated before.
+    """
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        self.shape = x.shape
+        inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
+        self.inside = None if inside.all() else inside
+        xi, yi = x[inside], y[inside]
+        r = np.abs(xi - yi)
+        # w = num / r^2 as w_factor computes it, +inf where r^2 is 0
+        num, r2 = (1.0 - xi * xi) * (1.0 - yi * yi), r * r
+        w = np.divide(num, r2, out=np.full_like(num, np.inf), where=r2 > 0.0)
+        self.small = w <= 1.0
+        big = ~self.small
+        self.w_small, self.r_small = w[self.small], r[self.small]
+        self.w_big, self.r_big, self.num_big = w[big], r[big], num[big]
+
+    def evaluate(self, kp: KernelParams):
+        """G at the plan's points: an array of its shape, a float for scalar points."""
+        alpha = kp.alpha
+        c = green_const(kp)
+        vals = np.empty(self.small.shape)
+        # r = 0 with alpha <= 1 diverges; inf is the correct value there
+        with np.errstate(divide="ignore"):
+            if self.w_small.size:
+                vals[self.small] = c * self.r_small ** (alpha - 1.0) * inner_integral(self.w_small, kp)
+            if self.w_big.size:
+                if alpha <= 1.0:
+                    big = c * self.r_big ** (alpha - 1.0) * inner_integral(self.w_big, kp)
+                else:
+                    beta, far = _connection(self.w_big, alpha / 2.0)
+                    prod = self.num_big ** ((alpha - 1.0) / 2.0)
+                    big = c * (2.0 / (alpha - 1.0) * prod * far + self.r_big ** (alpha - 1.0) * beta)
+                vals[~self.small] = big
+        if self.inside is None:
+            out = vals.reshape(self.shape)
+        else:
+            out = np.zeros(self.shape)
+            out[self.inside] = vals
+        return out if out.shape else float(out)
+
+
 def green_ball(x, y, kp: KernelParams):
     """Green function of (-1, 1), zero outside, vectorized.
 
@@ -203,38 +266,10 @@ def green_ball(x, y, kp: KernelParams):
                   + |x-y|^(alpha-1) B(s, 1/2-s) ],
 
     which stays finite as |x-y| -> 0 and equals the diagonal value there.
+    A caller that evaluates the same points at several alpha keeps their
+    `_GreenPlan` instead.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    alpha = kp.alpha
-    c = green_const(kp)
-    out = np.zeros(x.shape)
-    inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
-    if inside.any():
-        xi, yi = x[inside], y[inside]
-        r = np.abs(xi - yi)
-        # w = num / r^2 as w_factor computes it, +inf where r^2 is 0
-        num, r2 = (1.0 - xi * xi) * (1.0 - yi * yi), r * r
-        w = np.divide(num, r2, out=np.full_like(num, np.inf), where=r2 > 0.0)
-        vals = np.empty_like(xi)
-
-        direct = (w <= 1.0) | (alpha <= 1.0)
-        if direct.any():
-            # r = 0 with alpha <= 1 diverges; inf is the correct value there
-            with np.errstate(divide="ignore"):
-                vals[direct] = c * r[direct] ** (alpha - 1.0) * np.asarray(
-                    inner_integral(w[direct], kp)
-                )
-        split = ~direct
-        if split.any():
-            beta, far = _connection(w[split], alpha / 2.0)
-            prod = num[split] ** ((alpha - 1.0) / 2.0)
-            vals[split] = c * (
-                2.0 / (alpha - 1.0) * prod * far + r[split] ** (alpha - 1.0) * beta
-            )
-        out[inside] = vals
-    return out if out.shape else float(out)
+    return _GreenPlan(x, y).evaluate(kp)
 
 
 def green_interval(x, y, center: float, radius: float, kp: KernelParams):

@@ -5,7 +5,8 @@ Each cone member is drawn, pushed through apply_green and checked as its
 own GridFunction, the unimodality and invariance items draw their
 samples separately, the gamma_U table covers y < 0 as well as y > 0, and
 every reflection and kul argument set and every Poisson base point gets
-its own kernel call, and each tail of the Poisson mass rebuilds both of
+its own kernel call, on the Green function as it was before its plans
+(green_reference.py), and each tail of the Poisson mass rebuilds both of
 its Gauss-Jacobi rules.  The batched battery must reproduce every
 `worst`, `refined` and `failures` value of this one bit for bit, and the
 batched Krasnoselskii probe the range of `probe_sups`.
@@ -15,7 +16,8 @@ import numpy as np
 
 from bifrac.cone import ConeSpec
 from bifrac.greenop import GridFunction, apply_green, gamma_U, get_operator, make_grid
-from bifrac.kernels import _gauss_jacobi, green_ball, green_interval, poisson_const
+from bifrac.kernels import _gauss_jacobi, poisson_const
+from green_reference import green_ball, green_interval
 
 
 def sample_cone(rho, count, seed, *, grid, kp, spec):

@@ -19,6 +19,9 @@ runs first.  For each side the file holds:
 - `workloads`: for each workload of BENCHMARK.json, the end-to-end
   metrics of `perfbench/run.py` (its own copy on each side), one entry
   per pair of runs;
+- `layers`: for each workload, the per-layer metrics of one
+  `perfbench/run.py --trace 1` run (calls, points and self times per
+  layer and function, as BENCHMARK.json's `per_layer` lists them);
 - `src_lines`: the line count of `src/`, counted as run.py counts it.
 
 `machine` is run.py's metadata without the fields of one run (commit,
@@ -86,6 +89,7 @@ class Side:
         self.fresh = {cmd: [] for cmd in COMMANDS}
         self.warm = {cmd: [] for cmd in COMMANDS}
         self.workloads = {}
+        self.layers = {}
         self.meta = None
 
     def run(self, argv, **kw):
@@ -100,17 +104,23 @@ class Side:
         self.run([sys.executable, "-m", "bifrac.cli", *argv, "--outdir", outdir])
         return time.perf_counter() - t0
 
-    def workload(self, workload: str, seed: int, seconds: float):
+    def perfbench(self, workload: str, seed: int, seconds: float, trace: int) -> dict:
+        """The metrics of one run.py run, which must report no failed request."""
         out = self.run([sys.executable, str(self.root / "perfbench" / "run.py"), "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(seconds)])
+                        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)])
         lines = out.strip().splitlines()
         result = json.loads(lines[-1])
         if result["correct"] is not True:
             raise RuntimeError(f"{self.name}: {workload} reported failed requests")
         if self.meta is None:
             self.meta = json.loads(next(line[5:] for line in lines if line.startswith("meta ")))
-        metrics = {name: m["value"] for name, m in result["metrics"].items()}
-        self.workloads.setdefault(workload, []).append(metrics)
+        return {name: m["value"] for name, m in result["metrics"].items()}
+
+    def workload(self, workload: str, seed: int, seconds: float):
+        self.workloads.setdefault(workload, []).append(self.perfbench(workload, seed, seconds, 0))
+
+    def trace(self, workload: str, seed: int, seconds: float):
+        self.layers[workload] = self.perfbench(workload, seed, seconds, 1)
 
     def src_lines(self) -> int:
         return sum(len(p.read_text().splitlines()) for p in sorted((self.root / "src").rglob("*.py")))
@@ -122,6 +132,7 @@ class Side:
             "fresh_s": {cmd: min(times) for cmd, times in self.fresh.items()},
             "warm_s": {cmd: statistics.median(times) for cmd, times in self.warm.items()},
             "workloads": self.workloads,
+            "layers": self.layers,
         }
 
 
@@ -172,23 +183,30 @@ def measure(sides, args, workdir: Path):
             for side in alternate(sides, i):
                 side.workload(workload, args.seed, args.seconds)
                 print(f"{side.name} {workload} {i}: {side.workloads[workload][-1]}", file=sys.stderr)
+        for side in alternate(sides, workloads.index(workload)):
+            side.trace(workload, args.seed, args.seconds)
 
 
 def summary(doc) -> str:
     sides = doc["sides"]
     names = list(sides)
-    lines = [f"{'':34s}" + "".join(f"{name:>14s}" for name in names)]
+    lines = [f"{'':48s}" + "".join(f"{name:>14s}" for name in names)]
     for key in ("fresh_s", "warm_s"):
         for cmd in COMMANDS:
             label = f"{key} {cmd}"
-            lines.append(f"{label:34.34s}" + "".join(f"{sides[n][key][cmd]:14.4g}" for n in names))
+            lines.append(f"{label:48.48s}" + "".join(f"{sides[n][key][cmd]:14.4g}" for n in names))
     for workload in next(iter(sides.values()))["workloads"]:
         metrics = sides[names[0]]["workloads"][workload][0]
         for metric in metrics:
             vals = [statistics.median(run[metric] for run in sides[n]["workloads"][workload]) for n in names]
             label = f"{workload} {metric}"
-            lines.append(f"{label:34.34s}" + "".join(f"{v:14.4g}" for v in vals))
-    lines.append("src_lines".ljust(34) + "".join(f"{sides[n]['src_lines']:14d}" for n in names))
+            lines.append(f"{label:48.48s}" + "".join(f"{v:14.4g}" for v in vals))
+    for workload, metrics in next(iter(sides.values()))["layers"].items():
+        for metric in metrics:
+            vals = [sides[n]["layers"][workload][metric] for n in names]
+            label = f"{workload} {metric}"
+            lines.append(f"{label:48.48s}" + "".join(f"{v:14.4g}" for v in vals))
+    lines.append("src_lines".ljust(48) + "".join(f"{sides[n]['src_lines']:14d}" for n in names))
     return "\n".join(lines)
 
 
