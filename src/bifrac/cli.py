@@ -567,7 +567,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         # looked up per call, so a command wrapped after the parser was built runs wrapped
         return globals()[f"cmd_{args.command}"](cfg, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

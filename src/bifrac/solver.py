@@ -6,24 +6,24 @@ and the radii, and refuses a forcing without the cone shape.
 `picard_minimal`, `newton_second`, `krasnoselskii_probe` and
 `residual_strong` take that report and recompute none of it.
 
-The minimal branch is the monotone limit of Picard iteration from zero;
-it exists whenever the scalar certificate passes, and the iteration is
-increasing so any escape past the certified radius means divergence.
-Everything else is one dense Newton routine, `_newton`, fed a callback
-that returns the residual and Jacobian of its system.  The second branch
-is Newton deflated away from the minimal solution (Farrell, Birkisson &
-Funke, SIAM J. Sci. Comput. 37, 2015), started at the amplitude the
-scalar model predicts for the larger root, then at multiples of it;
-`newton_second` and the sweep run the same search.  `fold_sweep` scales
-the forcing by lambda, counts branches on a coarse lambda grid, and
-locates the fold where the two branches merge by one Newton solve of the
-Moore-Spence extended system (Moore & Spence, SIAM J. Numer. Anal. 17,
-1980), warm-started from the last two-branch point of the scan.
+The minimal branch is the monotone limit of Picard iteration from zero.
+Picard is capped, as near the fold it would need up to 1e5 steps; a
+capped last iterate lies below the branch, and Newton finishes from it.
+Everything Newton does runs through one dense routine, `_newton`, fed a
+callback that returns the residual and Jacobian of its system.  The
+second branch is Newton deflated away from the minimal solution
+(Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015), started at
+the amplitude the scalar model predicts for the larger root, then at
+multiples of it.  `picard_minimal` and `newton_second` run the sweep's
+two branch routines.  `fold_sweep` scales the forcing by lambda, counts
+branches on a coarse lambda grid, and locates the fold where the two
+branches merge by one Newton solve of the Moore-Spence extended system
+(Moore & Spence, SIAM J. Numer. Anal. 17, 1980), warm-started from the
+last two-branch point of the scan.
 
-The branches are even, so the second branch, the sweep and the fold are
+The branches are even, so both branches, the sweep and the fold are
 solved on the (n+1)/2 even unknowns (`_half`) and expanded to the full
-grid only for cone checks, residuals and reports; `picard_minimal` stays
-on the full grid as the oracle the fold is tested against.
+grid only for cone checks, residuals and reports.
 
 `residual_strong` checks the equation pointwise on both branches in one
 principal-value pass: `frac_laplacian_pv` takes the branches together,
@@ -71,6 +71,9 @@ __all__ = [
 # model's larger root: the first predicts the branch well, the others catch
 # a start that falls outside the deflated iteration's basin
 _SECOND_STARTS = (1.0, 1.5, 0.75, 2.5, 4.0)
+
+# step caps of a branch solve: the minimal branch's Picard phase, each Newton run
+_PICARD_MAX, _NEWTON_MAX = 300, 100
 
 
 def _pow(u, p):
@@ -179,19 +182,6 @@ class SolveResult:
         }
 
 
-def _picard(M, u0vec, p, tol, max_iter, guard):
-    u = np.zeros_like(u0vec)
-    for it in range(1, max_iter + 1):
-        un = M @ _pow(u, p) + u0vec
-        step = float(np.abs(un - u).max())
-        u = un
-        if np.abs(u).max() > guard:
-            return u, it, "diverged"
-        if step < tol:
-            return u, it, "converged"
-    return u, max_iter, "max_iter"
-
-
 def _half(M):
     """M folded onto the even unknowns: _half(M) @ u[:m] == (M @ u)[:m] for even u.
 
@@ -259,6 +249,28 @@ def _branch_system(M, u0vec, p):
     return lambda u: (u - M @ _pow(u, p) - u0vec, eye - M * _dpow(u, p)[None, :])
 
 
+def _minimal_branch(M, u0vec, p, b, tol, newton_tol, picard_max=_PICARD_MAX):
+    """(u, iterations, status) for the minimal solution of u = M u^p + u0vec.
+
+    Picard from zero increases, so an iterate past four times the scalar
+    tangency amplitude means "diverged".  Capped at picard_max steps, its
+    last iterate is a subsolution below the minimal branch, from which
+    Newton on this convex map climbs to it.  Counts the steps of both.
+    """
+    guard = 4.0 * tangency_amplitude(b, p)
+    u = np.zeros_like(u0vec)
+    for it in range(1, picard_max + 1):
+        un = M @ _pow(u, p) + u0vec
+        step = float(np.abs(un - u).max())
+        u = un
+        if np.abs(u).max() > guard:
+            return u, it, "diverged"
+        if step < tol:
+            return u, it, "converged"
+    u, it, status = _newton(_branch_system(M, u0vec, p), u, newton_tol, _NEWTON_MAX)
+    return u, picard_max + it, status
+
+
 def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None, weight=1.0):
     """Newton deflated off the solution `known`, from rescaled `profile`.
 
@@ -283,38 +295,35 @@ def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None, w
     return u, it, "not_found" if status == "converged" else status
 
 
-def picard_minimal(cert: CertificateReport, tol: float = 1e-12, max_iter: int = 5000) -> SolveResult:
+def _branch_result(cert, M, half, iterations, branch, status, known_in_cone=False):
+    """The SolveResult of a branch solved on the even half of M: expanded to
+    the full grid, where its fixed-point residual and cone check are taken."""
+    vals = _expand(half)
+    u = cert.h.with_values(vals)
+    fp = float(np.abs(vals - M @ _pow(vals, cert.p) - cert.u0.values).max())
+    in_cone = known_in_cone or check_membership(u, cert.spec).member
+    return SolveResult(u=u, fixed_point_residual=fp, iterations=iterations, branch=branch,
+                       in_cone=in_cone, converged=status == "converged", status=status)
+
+
+def picard_minimal(cert: CertificateReport, tol: float = 1e-12, max_iter: int = _PICARD_MAX) -> SolveResult:
     """Minimal-branch solution of the problem `cert` poses, by monotone iteration from zero.
 
-    The iterates increase toward the smallest fixed point.  While the
-    certificate holds they stay under rho2, so crossing that radius (or
-    four times the scalar tangency amplitude when the certificate fails)
-    is reported as divergence.
+    Picard runs on the even half, guarded at four times the scalar
+    tangency amplitude ("diverged" past it), for at most max_iter steps;
+    if none moves the iterate by less than tol, Newton finishes from the
+    last one (see _minimal_branch).  `iterations` counts both kinds of
+    step, and is 0 for a zero forcing, whose solution is zero.
     """
-    h, p = cert.h, cert.p
+    M, m = get_operator(cert.h.grid, cert.kp).matrix, cert.h.grid.n // 2 + 1
     if cert.u0_sup == 0.0:
-        u = h.with_values(np.zeros(h.grid.n))
-        return SolveResult(
-            u=u, fixed_point_residual=0.0, iterations=0, branch="minimal",
-            in_cone=check_membership(u, cert.spec).member, converged=True, status="converged",
-        )
-    guard = cert.radii.rho2 * (1.0 + 1e-9) if cert.passed else 4.0 * tangency_amplitude(cert.b, p)
-    M, u0vec = get_operator(h.grid, cert.kp).matrix, cert.u0.values
-    vals, iters, status = _picard(M=M, u0vec=u0vec, p=p, tol=tol, max_iter=max_iter, guard=guard)
-    u = h.with_values(vals)
-    fp = float(np.abs(vals - M @ _pow(vals, p) - u0vec).max())
-    return SolveResult(
-        u=u, fixed_point_residual=fp, iterations=iters, branch="minimal",
-        in_cone=check_membership(u, cert.spec).member, converged=(status == "converged"),
-        status=status,
-    )
+        return _branch_result(cert, M, np.zeros(m), 0, "minimal", "converged")
+    half, iters, status = _minimal_branch(_half(M), cert.u0.values[:m], cert.p, cert.b, tol, tol, max_iter)
+    return _branch_result(cert, M, half, iters, "minimal", status)
 
 
 def newton_second(
-    cert: CertificateReport,
-    known: "SolveResult | GridFunction",
-    tol: float = 1e-12,
-    max_iter: int = 80,
+    cert: CertificateReport, known: "SolveResult | GridFunction", tol: float = 1e-12, max_iter: int = 80
 ) -> SolveResult:
     """Second-branch solution by Newton iteration deflated off the known one.
 
@@ -327,7 +336,7 @@ def newton_second(
     """
     h, p, spec, radii = cert.h, cert.p, cert.spec, cert.radii
     known_u = known.u if isinstance(known, SolveResult) else known
-    M, u0vec = get_operator(h.grid, cert.kp).matrix, cert.u0.values
+    M, m = get_operator(h.grid, cert.kp).matrix, h.grid.n // 2 + 1
     sep_floor = max(1e-7, 10.0 * tol, (radii.rho2 - radii.rho1) / 2.0 if radii else 0.0)
 
     def accept(half):
@@ -340,18 +349,12 @@ def newton_second(
 
     # a zero known solution gives no shape; start from the torsion profile
     profile = known_u.values if known_u.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (cert.kp.alpha / 2.0)
-    m = h.grid.n // 2 + 1
     half, iters, status = _second_branch(
-        _branch_system(_half(M), u0vec[:m], p), known_u.values[:m], profile[:m],
+        _branch_system(_half(M), cert.u0.values[:m], p), known_u.values[:m], profile[:m],
         ScalarProblem(b=cert.b, u0=cert.u0_sup, p=p), tol, max_iter, accept, _even_weight(m),
     )
-    vals = _expand(half)
-    u, converged = h.with_values(vals), status == "converged"
-    return SolveResult(
-        u=u, fixed_point_residual=float(np.abs(vals - M @ _pow(vals, p) - u0vec).max()),
-        iterations=iters, branch="second", in_cone=converged or check_membership(u, spec).member,
-        converged=converged, status=status,
-    )
+    # a converged second branch passed `accept`, cone check included
+    return _branch_result(cert, M, half, iters, "second", status, known_in_cone=status == "converged")
 
 
 @dataclass(frozen=True)
@@ -425,23 +428,19 @@ class SweepResult:
         return np.isfinite(self.fold_estimate)
 
 
-def _solve_pair(M, u0vec, p, b, weight=1.0, tol=1e-11, picard_max=300, newton_max=100):
+def _solve_pair(M, u0vec, p, b, weight=1.0, tol=1e-11):
     """(count, minimal, second) for u = M u^p + u0vec; absent branches are None.
 
-    Picard from zero is capped: near the fold it would need up to 1e5
-    steps.  Its last iterate is a subsolution below the minimal branch,
-    from which plain Newton on this convex map climbs monotonically to it.
-    The second branch is sought by the search newton_second runs.  M is
-    the full operator, or its even half with the half's `weight`.
+    The minimal branch is solved as picard_minimal solves it, with Picard
+    to tol, and the second is sought by the search newton_second runs.
+    M is the full operator, or its even half with the half's `weight`.
     """
-    system = _branch_system(M, u0vec, p)
-    umin, _, st = _picard(M, u0vec, p, tol=tol, max_iter=picard_max, guard=4.0 * tangency_amplitude(b, p))
-    if st == "max_iter":
-        umin, _, st = _newton(system, umin, 1e-12, newton_max)
+    umin, _, st = _minimal_branch(M, u0vec, p, b, tol, 1e-12)
     if st != "converged":
         return 0, None, None
     scalar = ScalarProblem(b=b, u0=float(np.abs(u0vec).max()), p=p)
-    usec, _, st = _second_branch(system, umin, umin, scalar, 1e-12, newton_max, weight=weight)
+    system = _branch_system(M, u0vec, p)
+    usec, _, st = _second_branch(system, umin, umin, scalar, 1e-12, _NEWTON_MAX, weight=weight)
     return (2, umin, usec) if st == "converged" else (1, umin, None)
 
 

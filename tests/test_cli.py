@@ -13,7 +13,7 @@ import pytest
 import bifrac
 from bifrac import cli, solver
 from bifrac.cli import RunConfig, main
-from bifrac.greenop import GridFunction, make_grid
+from bifrac.greenop import GreenOperator, GridFunction, make_grid
 
 from csv_reference import write_branches
 
@@ -126,6 +126,17 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for the machine is not a failed property (exit 1)
+        def exhausted(op):
+            raise MemoryError(f"cannot allocate the {op.grid.n} x {op.grid.n} operator")
+
+        monkeypatch.setattr(GreenOperator, "_build", exhausted)
+        assert run(tmp_path, "certify", "--grid-n", "100001") == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot allocate the 100001 x 100001 operator\n"
+        assert not os.listdir(tmp_path)
+
 
 class TestKernel:
     def test_green_golden_row(self, tmp_path):
@@ -186,6 +197,13 @@ class TestSolve:
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         assert run(tmp_path, "solve") == 0
         assert calls == {"radii_certificate": 1, "coercivity_a": 1, "operator_norm_b": 2}
+
+    def test_near_the_fold_both_branches_converge(self, tmp_path):
+        # the default auto amplitude times the fold times (1 - 1e-5)
+        assert run(tmp_path, "solve", "--h-amplitude", "0.7456033460274057") == 0
+        rep = read_json(tmp_path, "report.json")
+        assert rep["minimal"]["converged"] and rep["second"]["converged"]
+        assert rep["distinct"] is True
 
     def test_profile_flags(self, tmp_path):
         assert run(tmp_path, "solve", "--h-profile", "torsion",

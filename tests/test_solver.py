@@ -25,6 +25,8 @@ from bifrac.solver import (
     residual_strong,
 )
 
+from full_grid_picard import full_grid_picard
+
 
 def scaled(h, factor):
     return h.with_values(h.values * factor)
@@ -196,10 +198,34 @@ class TestFoldSweep:
         sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
         assert sw.fold_status == "converged"
         posed = lambda lam: certify(scaled(h, lam), p, ConeSpec.for_kernel(kp_a), kp_a)
-        below = picard_minimal(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
-        above = picard_minimal(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
+        below = full_grid_picard(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
+        above = full_grid_picard(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
         assert below.status == "converged"
         assert above.status == "diverged"
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_minimal_branch_reaches_the_fold(self, alpha):
+        # within 1e-5 of the fold full-grid Picard needs up to 1.3e4 steps;
+        # capped Picard and the Newton finish land on its limit, and still
+        # converge at 1e-7
+        for p in (1.5, 2.0, 3.0):
+            cfg = RunConfig(alpha=alpha, p=p)
+            kp_a = cfg.kernel_params()
+            h = build_forcing(cfg, kp_a)
+            lam = 2.0 ** (1.0 / (p - 1.0))
+            sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
+            assert sw.fold_status == "converged"
+            spec_a = ConeSpec.for_kernel(kp_a)
+            for rel in (1e-3, 1e-5, 1e-7):
+                rep = certify(scaled(h, sw.fold_estimate * (1 - rel)), p, spec_a, kp_a)
+                res = picard_minimal(rep)
+                assert res.status == "converged", (p, rel)
+                if rel < 1e-6:
+                    continue
+                oracle = full_grid_picard(rep, tol=1e-15, max_iter=50_000)
+                assert oracle.status == "converged", (p, rel)
+                err = np.abs(res.u.values - oracle.u.values).max()
+                assert err <= 1e-11 * oracle.u.sup_norm, (p, rel)
 
     @pytest.mark.parametrize("profile", ["torsion", "plateau"])
     def test_scan_counts_two_branches_below_the_fold(self, profile):
@@ -236,8 +262,8 @@ class TestFoldSweep:
         fine = fold_sweep(h, 3.0, kp_a, 1.6, 2.3, 15)
         assert fine.fold_estimate == pytest.approx(sw.fold_estimate, rel=1e-12, abs=0.0)
         posed = lambda lam: certify(scaled(h, lam), 3.0, ConeSpec.for_kernel(kp_a), kp_a)
-        below = picard_minimal(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
-        above = picard_minimal(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
+        below = full_grid_picard(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
+        above = full_grid_picard(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
         assert below.status == "converged"
         assert above.status == "diverged"
 
