@@ -8,7 +8,6 @@ solution (monotone iteration) and a second, larger one (deflated Newton).
 import numpy as np
 
 from bifrac import (
-    ConeSpec,
     GridFunction,
     KernelParams,
     apply_green,
@@ -27,13 +26,12 @@ def main():
     kp = KernelParams(alpha=1.5)
     p = 2.0
     grid = make_grid(65)
-    spec = ConeSpec.for_kernel(kp)
 
     bump = GridFunction.from_callable(grid, lambda x: 1 - x**2)
     amp = critical_constant(p) / (2 * operator_norm_b(kp, p) * apply_green(bump, kp).sup_norm)
     h = bump.with_values(amp * bump.values)
 
-    rep = certify(h, p, spec, kp)
+    rep = certify(h, p, kp)
     print(f"certificate: b u0^(p-1) = {rep.lhs:.6f} vs c_p = {rep.c_p}, margin {rep.margin:.0%}")
     r = rep.radii
     print(f"radii: rho1 = {r.rho1:.6f}, rho2 = {r.rho2:.6f}, rho3 = {r.rho3:.4f}")

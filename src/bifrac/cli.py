@@ -304,12 +304,9 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     cfg.validate()
     kp = cfg.kernel_params()
     h = build_forcing(cfg, kp)
-    report = certify(h, cfg.p, ConeSpec.for_kernel(kp, a_half=cfg.a_half), kp)
-    write_report(
-        os.path.join(_resolve_outdir(cfg), "certificate.json"),
-        {"certificate": report.to_dict()},
-        cfg,
-    )
+    report = certify(h, cfg.p, kp, cfg.a_half)
+    outdir = _resolve_outdir(cfg)
+    write_report(os.path.join(outdir, "certificate.json"), {"certificate": report.to_dict()}, cfg)
     return 0 if report.passed else 1
 
 
@@ -318,20 +315,13 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     kp = cfg.kernel_params()
     h = build_forcing(cfg, kp)
     outdir = _resolve_outdir(cfg)
-    cert = certify(h, cfg.p, ConeSpec.for_kernel(kp, a_half=cfg.a_half), kp)
+    cert = certify(h, cfg.p, kp, cfg.a_half)
 
     if h.sup_norm == 0.0:
         trivial = picard_minimal(cert, tol=cfg.solve_tol)
         trivial.u.write_csv(os.path.join(outdir, "minimal.csv"))
-        write_report(
-            os.path.join(outdir, "report.json"),
-            {
-                "degenerate": True,
-                "certificate": cert.to_dict(),
-                "minimal": trivial.to_dict(),
-            },
-            cfg,
-        )
+        payload = {"degenerate": True, "certificate": cert.to_dict(), "minimal": trivial.to_dict()}
+        write_report(os.path.join(outdir, "report.json"), payload, cfg)
         return 0
 
     rmin = picard_minimal(cert, tol=cfg.solve_tol)

@@ -43,9 +43,9 @@ class ConeSpec:
             raise ValueError("tol must be nonnegative")
 
     @classmethod
-    def for_kernel(cls, kp: KernelParams, a_half: float = 0.5, tol: float = 1e-12):
+    def for_kernel(cls, kp: KernelParams, a_half: float = 0.5):
         """Spec whose ratio floor is the kernel constant gamma_U."""
-        return cls(a_half=a_half, gamma=gamma_U(a_half, kp), tol=tol)
+        return cls(a_half=a_half, gamma=gamma_U(a_half, kp))
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,8 @@ def gamma_U(a_half: float, kp: KernelParams) -> float:
     if not 0.0 < a_half < 1.0:
         raise ValueError(f"a_half must lie in (0,1), got {a_half}")
     kp.require_solver_window()
-    return green_ball(a_half, 0.0, kp) / green_ball(0.0, 0.0, kp)
+    edge, centre = green_ball(np.array([a_half, 0.0]), 0.0, kp)
+    return float(edge / centre)
 
 
 def _core_mass(a_half: float, kp: KernelParams) -> float:
@@ -279,15 +280,17 @@ def _core_mass(a_half: float, kp: KernelParams) -> float:
     return float(2.0 / alpha * (a_half * edge + 2.0 * green_const(kp) * inner))
 
 
-def coercivity_a(a_half: float, p: float, kp: KernelParams) -> float:
-    """Coercivity constant a = gamma_U^p int_{-a_half}^{a_half} G(0,y) dy.
+def coercivity_a(spec, p: float, kp: KernelParams) -> float:
+    """Coercivity constant a = gamma^p int_U G(0,y) dy of the cone `spec`.
 
-    Bounds G(u^p)(0) from below by a |u|^p for cone members: on U the
-    values of u are at least gamma_U |u|.  Never exceeds operator_norm_b.
-    The core mass is a closed form in G(a_half,0) and one positive
-    hypergeometric series (see _core_mass), so no quadrature is involved.
+    gamma is the cone's ratio floor and U = (-a_half, a_half) its core, on
+    which members are at least gamma |u|, so G(u^p)(0) >= a |u|^p.  The
+    bound holds for any floor up to gamma_U, which G preserves; an unset
+    floor (gamma = 0) raises ValueError.  Never exceeds operator_norm_b.
+    The core mass is a closed form (see _core_mass), so no quadrature.
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    g = gamma_U(a_half, kp)
-    return g**p * _core_mass(a_half, kp)
+    if not spec.gamma > 0:
+        raise ValueError("coercivity needs the cone's ratio floor; gamma is unset")
+    return spec.gamma**p * _core_mass(spec.a_half, kp)

@@ -1,8 +1,9 @@
 """Two solution branches of u = G(u^p) + G(h) and the fold in between.
 
-`certify` poses the problem once: the CertificateReport it returns holds
-the forcing h, p, the kernel, the cone, u0 = G h, the constants b and a
-and the radii, and refuses a forcing without the cone shape.
+`certify(h, p, kp, a_half)` poses the problem once: its CertificateReport
+holds h, p, the kernel, the kernel's cone with core half-width a_half,
+u0 = G h, the constants b and a and the radii.  It refuses a forcing
+that is not finite or lacks the cone shape.
 `picard_minimal`, `newton_second`, `krasnoselskii_probe` and
 `residual_strong` take that report and recompute none of it.
 
@@ -92,7 +93,8 @@ class CertificateReport:
 
     The branch solvers and the probe read h, u0 = G h and the constants
     from it; `to_dict` writes the constants and the verdict only.  A
-    forcing without the cone shape cannot be built into one (ValueError).
+    forcing that is not finite or lacks the cone shape cannot be built
+    into one (ValueError).
     """
 
     h: GridFunction = field(repr=False)
@@ -111,7 +113,7 @@ class CertificateReport:
     failure: CertificateFailure | None = None
 
     def __post_init__(self):
-        _require_forcing_shape(self.h, max(self.spec.tol, 1e-12))
+        _require_forcing_shape(self.h)
 
     def to_dict(self) -> dict:
         out = {
@@ -130,30 +132,35 @@ class CertificateReport:
         return out
 
 
-def _require_forcing_shape(h: GridFunction, tol: float = 1e-12):
-    """Raise ValueError unless h has the cone shape; a forcing need not meet the ratio floor."""
-    rep = check_membership(h, ConeSpec(gamma=0.0, tol=tol))
+def _require_forcing_shape(h: GridFunction):
+    """Raise ValueError unless h is finite with the cone shape; it need not meet the ratio floor."""
+    need = "forcing must be finite, nonnegative, even and unimodal"
+    if not np.isfinite(h.values).all():
+        raise ValueError(f"{need}: it has non-finite values")
+    rep = check_membership(h, ConeSpec(gamma=0.0))
     if not rep.member:
-        raise ValueError(f"forcing must be nonnegative, even and unimodal: {rep.violations}")
+        raise ValueError(f"{need}: {rep.violations}")
 
 
-def certify(h: GridFunction, p: float, spec: ConeSpec, kp: KernelParams) -> CertificateReport:
+def certify(h: GridFunction, p: float, kp: KernelParams, a_half: float = 0.5) -> CertificateReport:
     """Pose the problem for the forcing h and run the radii certificate on it.
 
-    A forcing without the cone shape leaves the framework and raises ValueError.
+    a is taken from the kernel's cone, ConeSpec.for_kernel(kp, a_half).  A
+    forcing that is not finite or lacks the cone shape raises ValueError.
     """
+    _require_forcing_shape(h)
+    spec = ConeSpec.for_kernel(kp, a_half)
     u0 = apply_green(h, kp)
     b = operator_norm_b(kp, p)
-    a = coercivity_a(spec.a_half, p, kp)
+    a = coercivity_a(spec, p, kp)
     c_p = critical_constant(p)
     u0_sup = u0.sup_norm
     lhs = b * u0_sup ** (p - 1.0)
     res = radii_certificate(a, b, u0_sup, p)
     passed = isinstance(res, Radii)
     return CertificateReport(
-        h=h, p=p, kp=kp, spec=spec, u0=u0,
-        b=b, a_coerc=a, c_p=c_p, u0_sup=u0_sup, lhs=lhs, passed=passed,
-        margin=(c_p - lhs) / c_p if passed else res.margin,
+        h=h, p=p, kp=kp, spec=spec, u0=u0, b=b, a_coerc=a, c_p=c_p,
+        u0_sup=u0_sup, lhs=lhs, passed=passed, margin=(c_p - lhs) / c_p,
         radii=res if passed else None, failure=None if passed else res,
     )
 

@@ -104,8 +104,8 @@ def test_guarantee_5_cone_invariance():
             assert rep.worst_violation <= 1e-8, (alpha, p)
 
 
-def test_guarantee_6_two_solutions(h_certified, kp, spec):
-    rep = certify(h_certified, 2.0, spec, kp)
+def test_guarantee_6_two_solutions(h_certified, kp):
+    rep = certify(h_certified, 2.0, kp)
     assert rep.passed
     low = picard_minimal(rep)
     high = newton_second(rep, low.u)
@@ -118,8 +118,8 @@ def test_guarantee_6_two_solutions(h_certified, kp, spec):
     assert separation > rep.radii.rho2 - rep.radii.rho1
 
 
-def test_guarantee_7_krasnoselskii_probes(h_certified, kp, spec):
-    rep = certify(h_certified, 2.0, spec, kp)
+def test_guarantee_7_krasnoselskii_probes(h_certified, kp):
+    rep = certify(h_certified, 2.0, kp)
     radii = rep.radii
     probe = lambda rho: krasnoselskii_probe(rho, rep, count=200, seed=7)
     assert probe(radii.rho1).min_T > radii.rho1

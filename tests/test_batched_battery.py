@@ -70,7 +70,7 @@ def test_battery_memory_is_flat_in_samples():
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
 def test_probe_matches_per_sample_loop(monkeypatch, h_certified, kp, spec, p):
     monkeypatch.setattr(cone, "SAMPLE_BLOCK", 64)
-    cert = certify(h_certified, p, spec, kp)
+    cert = certify(h_certified, p, kp)
     for rho in (0.1, 1.0, 3.0):
         sups = oracle.probe_sups(rho, h_certified, p, kp, spec, 200, 7)
         rep = krasnoselskii_probe(rho, cert, count=200, seed=7)

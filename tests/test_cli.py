@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bifrac
-from bifrac import cli, solver
+from bifrac import cli, cone, greenop, kernels, solver
 from bifrac.cli import RunConfig, main
 from bifrac.greenop import GreenOperator, GridFunction, make_grid
 
@@ -120,6 +120,19 @@ class TestExitCodes:
         assert "unimodal" in capsys.readouterr().err
         assert not (tmp_path / "fold.json").exists()
 
+    @pytest.mark.parametrize("command", ["certify", "solve", "sweep"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_usage_error_non_finite_forcing(self, tmp_path, capsys, command, bad):
+        # named as such, before any number is computed from it: a
+        # RuntimeWarning on the way would fail the test
+        g = make_grid(65)
+        values = 0.05 * (1 - g.nodes**2)
+        values[10] = bad
+        GridFunction(g, values).write_csv(tmp_path / "h.csv")
+        assert run(tmp_path, command, "--h-csv", str(tmp_path / "h.csv")) == 2
+        assert "finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["h.csv"]
+
     @pytest.mark.parametrize("command", ["lemmas", "certify"])
     def test_usage_error_negative_seed(self, tmp_path, capsys, command):
         assert run(tmp_path, command, "--seed", "-1") == 2
@@ -182,7 +195,9 @@ class TestSolve:
 
     def test_constants_computed_once(self, tmp_path, monkeypatch):
         # certify poses the problem once and the branch solvers read it; the
-        # second operator_norm_b is build_forcing's automatic amplitude
+        # second operator_norm_b is build_forcing's automatic amplitude.  The
+        # kernel's cone carries gamma_U, whose two points share one
+        # green_ball call, and a reads it; the core mass makes the other call
         calls = Counter()
 
         def counted(name, fn):
@@ -191,12 +206,16 @@ class TestSolve:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (solver, cli):
-            for name in ("radii_certificate", "coercivity_a", "operator_norm_b"):
+        names = ("radii_certificate", "coercivity_a", "operator_norm_b", "gamma_U", "green_ball")
+        for mod in (solver, cli, cone, greenop, kernels):
+            for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        assert run(tmp_path, "solve") == 0
-        assert calls == {"radii_certificate": 1, "coercivity_a": 1, "operator_norm_b": 2}
+        for command in ("solve", "certify"):
+            calls.clear()
+            assert run(tmp_path, command) == 0
+            assert calls == {"radii_certificate": 1, "coercivity_a": 1, "operator_norm_b": 2,
+                             "gamma_U": 1, "green_ball": 2}, command
 
     def test_near_the_fold_both_branches_converge(self, tmp_path):
         # the default auto amplitude times the fold times (1 - 1e-5)

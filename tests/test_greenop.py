@@ -7,6 +7,7 @@ import pytest
 from scipy.special import eval_jacobi
 
 from bifrac import greenop
+from bifrac.cone import ConeSpec
 from bifrac.greenop import (
     GridFunction,
     apply_green,
@@ -213,14 +214,14 @@ class TestOperator:
         greenop.GreenOperator(grid, KernelParams(alpha=1.37))
         assert time.perf_counter() - t0 < 0.5
 
-    def test_second_branch_converges_under_refinement(self, h_certified, kp, spec):
+    def test_second_branch_converges_under_refinement(self, h_certified, kp):
         # bump forcing at half the certificate threshold, resolved on three
         # nested grids; the change 129 -> 257 must shrink, not stall
         amp = float(h_certified.values.max())
         second = {}
         for n in (65, 129, 257):
             h = GridFunction.from_callable(make_grid(n), lambda x: amp * (1 - x**2))
-            rep = certify(h, 2.0, spec, kp)
+            rep = certify(h, 2.0, kp)
             second[n] = newton_second(rep, picard_minimal(rep).u).u.values
         step1 = np.abs(second[129][::2] - second[65]).max()
         step2 = np.abs(second[257][::2] - second[129]).max()
@@ -277,6 +278,24 @@ class TestConstants:
         table = green_ball(xs[:, None], ys[None, :], kp_a) / green_ball(0.0, ys, kp_a)
         assert gamma_U(a_half, kp_a) == pytest.approx(table.min(), rel=1e-12, abs=0.0)
 
+    def test_gamma_one_kernel_call_matches_two(self):
+        # gamma_U takes G(a_half, 0) and G(0, 0) from one two-point call;
+        # past a_half = 1/sqrt(2) G(a_half, 0) falls in the other series
+        # batch, and neither side may move a bit from one-point calls
+        for alpha in np.round(np.arange(1.05, 1.955, 0.01), 2):
+            kp_a = KernelParams(alpha=float(alpha))
+            centre = green_ball(0.0, 0.0, kp_a)
+            for a_half in np.linspace(0.05, 0.99, 15):
+                assert gamma_U(a_half, kp_a) == green_ball(a_half, 0.0, kp_a) / centre, (alpha, a_half)
+
+    def test_coercivity_reads_the_cone(self, kp):
+        # a is gamma^p times the core mass, for the floor the cone carries
+        spec = ConeSpec.for_kernel(kp, 0.3)
+        lower = ConeSpec(a_half=0.3, gamma=spec.gamma / 2)
+        assert coercivity_a(lower, 2.0, kp) == pytest.approx(coercivity_a(spec, 2.0, kp) / 4, rel=1e-15)
+        with pytest.raises(ValueError, match="unset"):
+            coercivity_a(ConeSpec(a_half=0.3), 2.0, kp)
+
     def test_gamma_input_validation(self, kp):
         with pytest.raises(ValueError):
             gamma_U(0.0, kp)
@@ -287,11 +306,11 @@ class TestConstants:
         for alpha in (1.2, 1.5, 1.8):
             for p in (2.0, 3.0):
                 kp_a = KernelParams(alpha=alpha)
-                assert 0 < coercivity_a(0.5, p, kp_a) < operator_norm_b(kp_a, p)
+                assert 0 < coercivity_a(ConeSpec.for_kernel(kp_a), p, kp_a) < operator_norm_b(kp_a, p)
 
     def test_coercivity_reference_value(self, kp):
         # gamma_U^2 * int_{-1/2}^{1/2} G(0,y) dy at alpha = 1.5
-        assert coercivity_a(0.5, 2.0, kp) == pytest.approx(0.08006, rel=1e-3)
+        assert coercivity_a(ConeSpec.for_kernel(kp), 2.0, kp) == pytest.approx(0.08006, rel=1e-3)
         assert green_row_integral(0.0, kp, -0.5, 0.5) == pytest.approx(
             0.55882086, rel=1e-6
         )

@@ -22,7 +22,6 @@ from bifrac.kernels import (
     poisson_total_mass,
     w_factor,
 )
-from bifrac.cone import ConeSpec
 from bifrac.greenop import GridFunction, apply_green, make_grid
 from bifrac.solver import certify, newton_second, picard_minimal
 from bifrac.cli import RunConfig, build_forcing
@@ -361,7 +360,7 @@ class TestPrincipalValue:
         for n in (65, 129):
             grid = make_grid(n)
             h = build_forcing(RunConfig(alpha=alpha, grid_n=n), kp_a)
-            rep = certify(h, 2.0, ConeSpec.for_kernel(kp_a), kp_a)
+            rep = certify(h, 2.0, kp_a)
             low = picard_minimal(rep)
             high = newton_second(rep, low)
             ones = apply_green(GridFunction(grid, np.ones(n)), kp_a)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bifrac.cli import RunConfig, build_forcing
-from bifrac.cone import ConeSpec
 from bifrac.greenop import Grid, GridFunction, apply_green, make_grid
 from bifrac.kernels import KernelParams, frac_laplacian_pv
 from bifrac.solver import certify, newton_second, picard_minimal, residual_strong
@@ -20,7 +19,7 @@ PROBES = np.array([0.0, 0.25, -0.25, 0.5, -0.5])
 def branches(alpha, p, n, profile):
     kp = KernelParams(alpha=alpha)
     h = build_forcing(RunConfig(alpha=alpha, p=p, grid_n=n, h_profile=profile), kp)
-    cert = certify(h, p, ConeSpec.for_kernel(kp), kp)
+    cert = certify(h, p, kp)
     low = picard_minimal(cert)
     return cert, [res for res in (low, newton_second(cert, low)) if res.converged]
 

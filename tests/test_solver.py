@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bifrac.cli import RunConfig, build_forcing
-from bifrac.cone import ConeSpec, sample_cone
+from bifrac.cone import sample_cone
 from bifrac.greenop import GridFunction, apply_green, get_operator, make_grid, operator_norm_b
 from bifrac.kernels import KernelParams
 from bifrac.scalar import ScalarProblem, critical_constant
@@ -33,8 +33,8 @@ def scaled(h, factor):
 
 
 class TestCertify:
-    def test_certified_case(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
+    def test_certified_case(self, h_certified, kp):
+        rep = certify(h_certified, 2.0, kp)
         assert rep.passed
         # the forcing amplitude puts the problem at half threshold
         assert rep.margin == pytest.approx(0.5, abs=1e-12)
@@ -44,47 +44,66 @@ class TestCertify:
         assert rep.radii.rho3 == pytest.approx(25.309261380991646, rel=1e-10)
         assert rep.radii.rho1 < rep.radii.rho2 < rep.radii.rho3
 
-    def test_to_dict_shape(self, h_certified, kp, spec):
-        d = certify(h_certified, 2.0, spec, kp).to_dict()
+    def test_to_dict_shape(self, h_certified, kp):
+        d = certify(h_certified, 2.0, kp).to_dict()
         assert d["pass"] is True
         assert set(d["radii"]) == {"rho1", "rho2", "rho3"}
         assert "failure" not in d
 
-    def test_supercritical_forcing(self, h_certified, kp, spec):
-        rep = certify(scaled(h_certified, 3.0), 2.0, spec, kp)
+    def test_supercritical_forcing(self, h_certified, kp):
+        rep = certify(scaled(h_certified, 3.0), 2.0, kp)
         assert not rep.passed
         assert rep.failure.kind == "supercritical"
         assert rep.to_dict()["failure"] == "supercritical"
 
-    def test_zero_forcing_degenerate(self, grid65, kp, spec):
-        rep = certify(GridFunction(grid65, np.zeros(65)), 2.0, spec, kp)
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_failing_margin_is_relative(self, h_certified, kp, p):
+        # the margin keeps the passing certificate's unit, relative to c_p
+        rep = certify(scaled(h_certified, 3.0), p, kp)
+        assert not rep.passed
+        assert rep.margin == (rep.c_p - rep.lhs) / rep.c_p
+
+    def test_zero_forcing_degenerate(self, grid65, kp):
+        rep = certify(GridFunction(grid65, np.zeros(65)), 2.0, kp)
         assert not rep.passed
         assert rep.failure.kind == "degenerate"
 
-    def test_asymmetric_forcing_rejected(self, grid65, kp, spec):
+    def test_asymmetric_forcing_rejected(self, grid65, kp):
         vals = (1 - grid65.nodes**2) * (1 + 0.1 * grid65.nodes)
         with pytest.raises(ValueError):
-            certify(GridFunction(grid65, vals), 2.0, spec, kp)
+            certify(GridFunction(grid65, vals), 2.0, kp)
 
-    def test_problem_object_rejects_asymmetric_forcing(self, h_certified, grid65, kp, spec):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_forcing_rejected(self, h_certified, kp, bad):
+        # an infinite value once passed the shape check, whose slack scales
+        # with the sup norm, and a NaN hid behind max(0.0, nan) == 0.0
+        vals = h_certified.values.copy()
+        vals[10] = bad
+        h = h_certified.with_values(vals)
+        with pytest.raises(ValueError, match="finite"):
+            certify(h, 2.0, kp)
+        with pytest.raises(ValueError, match="finite"):
+            fold_sweep(h, 2.0, kp, 0.5, 2.0, 3)
+
+    def test_problem_object_rejects_asymmetric_forcing(self, h_certified, grid65, kp):
         # the second branch is solved on the even half, which needs an even
         # forcing: the report the solvers take cannot be built without one
         vals = (1 - grid65.nodes**2) * (1 + 0.1 * grid65.nodes)
-        rep = certify(h_certified, 2.0, spec, kp)
+        rep = certify(h_certified, 2.0, kp)
         with pytest.raises(ValueError, match="even"):
             dataclasses.replace(rep, h=GridFunction(grid65, vals))
 
     def test_report_poses_the_problem(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
-        assert rep.h is h_certified and rep.p == 2.0 and rep.kp is kp and rep.spec is spec
+        rep = certify(h_certified, 2.0, kp)
+        assert rep.h is h_certified and rep.p == 2.0 and rep.kp is kp and rep.spec == spec
         assert np.array_equal(rep.u0.values, apply_green(h_certified, kp).values)
         assert rep.u0_sup == rep.u0.sup_norm
         assert set(rep.to_dict()) == {"b", "a_coerc", "c_p", "u0_sup", "lhs", "pass", "margin", "radii"}
 
 
 class TestMinimalBranch:
-    def test_converges_inside_small_ball(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
+    def test_converges_inside_small_ball(self, h_certified, kp):
+        rep = certify(h_certified, 2.0, kp)
         res = picard_minimal(rep)
         assert res.converged and res.status == "converged"
         assert res.branch == "minimal"
@@ -93,26 +112,26 @@ class TestMinimalBranch:
         assert res.u.sup_norm == pytest.approx(0.18490, rel=1e-4)
         assert res.u.sup_norm < rep.radii.rho2
 
-    def test_iterates_dominate_forced_term(self, h_certified, kp, spec):
+    def test_iterates_dominate_forced_term(self, h_certified, kp):
         # u = G(u^p) + G(h) with G positivity-preserving forces u >= G(h)
         u0 = apply_green(h_certified, kp)
-        res = picard_minimal(certify(h_certified, 2.0, spec, kp))
+        res = picard_minimal(certify(h_certified, 2.0, kp))
         assert (res.u.values - u0.values).min() >= -1e-13
 
-    def test_zero_forcing_returns_zero(self, grid65, kp, spec):
+    def test_zero_forcing_returns_zero(self, grid65, kp):
         h = GridFunction(grid65, np.zeros(65))
-        res = picard_minimal(certify(h, 2.0, spec, kp))
+        res = picard_minimal(certify(h, 2.0, kp))
         assert res.converged and res.u.sup_norm == 0.0 and res.iterations == 0
 
-    def test_divergence_past_threshold(self, h_certified, kp, spec):
-        res = picard_minimal(certify(scaled(h_certified, 10.0), 2.0, spec, kp))
+    def test_divergence_past_threshold(self, h_certified, kp):
+        res = picard_minimal(certify(scaled(h_certified, 10.0), 2.0, kp))
         assert not res.converged
         assert res.status == "diverged"
 
 
 class TestSecondBranch:
-    def test_finds_distinct_solution(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
+    def test_finds_distinct_solution(self, h_certified, kp):
+        rep = certify(h_certified, 2.0, kp)
         low = picard_minimal(rep)
         res = newton_second(rep, low.u)
         assert res.converged and res.branch == "second"
@@ -122,8 +141,8 @@ class TestSecondBranch:
         sep = float(np.abs(res.u.values - low.u.values).max())
         assert sep > rep.radii.rho2 - rep.radii.rho1
 
-    def test_strong_residuals_both_branches(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
+    def test_strong_residuals_both_branches(self, h_certified, kp):
+        rep = certify(h_certified, 2.0, kp)
         low = picard_minimal(rep)
         high = newton_second(rep, low.u)
         for res in (low, high):
@@ -131,9 +150,9 @@ class TestSecondBranch:
             assert worst < 1e-2
             assert res.strong_residual == worst
 
-    def test_jacobian_matches_finite_differences(self, h_certified, kp, spec):
+    def test_jacobian_matches_finite_differences(self, h_certified, kp):
         # the Newton model linearizes u - M u^p - u0 as I - M diag(p u^{p-1})
-        rep = certify(h_certified, 2.0, spec, kp)
+        rep = certify(h_certified, 2.0, kp)
         low = picard_minimal(rep)
         res = newton_second(rep, low.u)
         M = get_operator(h_certified.grid, kp).matrix
@@ -150,8 +169,8 @@ class TestSecondBranch:
 
 
 class TestProbes:
-    def test_compression_expansion_margins(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
+    def test_compression_expansion_margins(self, h_certified, kp):
+        rep = certify(h_certified, 2.0, kp)
         r = rep.radii
         at = lambda rho: krasnoselskii_probe(rho, rep, count=60, seed=7)
         inner, middle, outer = at(r.rho1), at(r.rho2), at(r.rho3)
@@ -197,7 +216,7 @@ class TestFoldSweep:
         lam = 2.0 ** (1.0 / (p - 1.0))  # lambda_cert of the auto amplitude
         sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
         assert sw.fold_status == "converged"
-        posed = lambda lam: certify(scaled(h, lam), p, ConeSpec.for_kernel(kp_a), kp_a)
+        posed = lambda lam: certify(scaled(h, lam), p, kp_a)
         below = full_grid_picard(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
         above = full_grid_picard(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
         assert below.status == "converged"
@@ -215,9 +234,8 @@ class TestFoldSweep:
             lam = 2.0 ** (1.0 / (p - 1.0))
             sw = fold_sweep(h, p, kp_a, 0.8 * lam, 4.0 * lam, 9)
             assert sw.fold_status == "converged"
-            spec_a = ConeSpec.for_kernel(kp_a)
             for rel in (1e-3, 1e-5, 1e-7):
-                rep = certify(scaled(h, sw.fold_estimate * (1 - rel)), p, spec_a, kp_a)
+                rep = certify(scaled(h, sw.fold_estimate * (1 - rel)), p, kp_a)
                 res = picard_minimal(rep)
                 assert res.status == "converged", (p, rel)
                 if rel < 1e-6:
@@ -238,12 +256,12 @@ class TestFoldSweep:
         for pt in sw.points:
             assert pt.n_found == (2 if pt.lam < sw.fold_estimate else 0), pt.lam
 
-    def test_scan_and_newton_second_find_the_same_branch(self, h_certified, kp, spec):
+    def test_scan_and_newton_second_find_the_same_branch(self, h_certified, kp):
         # the scan's second-branch search is the one newton_second runs
         sw = fold_sweep(h_certified, 2.0, kp, 0.5, 1.5, 3)
         pt = sw.points[1]
         assert pt.lam == 1.0 and pt.n_found == 2
-        rep = certify(h_certified, 2.0, spec, kp)
+        rep = certify(h_certified, 2.0, kp)
         low = picard_minimal(rep)
         high = newton_second(rep, low.u)
         assert pt.sup_second == pytest.approx(high.u.sup_norm, rel=1e-12, abs=0.0)
@@ -261,7 +279,7 @@ class TestFoldSweep:
         assert sw.points[1].lam < sw.fold_estimate < sw.points[2].lam
         fine = fold_sweep(h, 3.0, kp_a, 1.6, 2.3, 15)
         assert fine.fold_estimate == pytest.approx(sw.fold_estimate, rel=1e-12, abs=0.0)
-        posed = lambda lam: certify(scaled(h, lam), 3.0, ConeSpec.for_kernel(kp_a), kp_a)
+        posed = lambda lam: certify(scaled(h, lam), 3.0, kp_a)
         below = full_grid_picard(posed(sw.fold_estimate * (1 - 1e-5)), max_iter=50_000)
         above = full_grid_picard(posed(sw.fold_estimate * (1 + 1e-5)), max_iter=50_000)
         assert below.status == "converged"
@@ -339,7 +357,7 @@ class TestEvenHalf:
             cfg = RunConfig(alpha=alpha, p=p)
             kp_a = cfg.kernel_params()
             h = build_forcing(cfg, kp_a)
-            rep = certify(h, p, ConeSpec.for_kernel(kp_a), kp_a)
+            rep = certify(h, p, kp_a)
             low = picard_minimal(rep)
             high = newton_second(rep, low)
             M = get_operator(h.grid, kp_a).matrix
@@ -352,8 +370,8 @@ class TestEvenHalf:
             assert high.iterations == iters, p
             assert np.abs(high.u.values - full).max() <= 1e-14 * np.abs(full).max()
 
-    def test_branches_are_palindromes(self, h_certified, kp, spec):
-        rep = certify(h_certified, 2.0, spec, kp)
+    def test_branches_are_palindromes(self, h_certified, kp):
+        rep = certify(h_certified, 2.0, kp)
         high = newton_second(rep, picard_minimal(rep).u).u.values
         assert np.array_equal(high, high[::-1])
         # the sweep's branches, expanded, are palindromes that follow the
