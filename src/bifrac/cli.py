@@ -305,8 +305,11 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     kp = cfg.kernel_params()
     h = build_forcing(cfg, kp)
     report = certify(h, cfg.p, kp, cfg.a_half)
-    outdir = _resolve_outdir(cfg)
-    write_report(os.path.join(outdir, "certificate.json"), {"certificate": report.to_dict()}, cfg)
+    write_report(
+        os.path.join(_resolve_outdir(cfg), "certificate.json"),
+        {"certificate": report.to_dict()},
+        cfg,
+    )
     return 0 if report.passed else 1
 
 
@@ -316,22 +319,27 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     h = build_forcing(cfg, kp)
     outdir = _resolve_outdir(cfg)
     cert = certify(h, cfg.p, kp, cfg.a_half)
+    rmin = picard_minimal(cert, tol=cfg.solve_tol)
+    rmin.u.write_csv(os.path.join(outdir, "minimal.csv"))
 
     if h.sup_norm == 0.0:
-        trivial = picard_minimal(cert, tol=cfg.solve_tol)
-        trivial.u.write_csv(os.path.join(outdir, "minimal.csv"))
-        payload = {"degenerate": True, "certificate": cert.to_dict(), "minimal": trivial.to_dict()}
-        write_report(os.path.join(outdir, "report.json"), payload, cfg)
+        write_report(
+            os.path.join(outdir, "report.json"),
+            {
+                "degenerate": True,
+                "certificate": cert.to_dict(),
+                "minimal": rmin.to_dict(),
+            },
+            cfg,
+        )
         return 0
 
-    rmin = picard_minimal(cert, tol=cfg.solve_tol)
     rsec = newton_second(cert, rmin, tol=cfg.solve_tol)
     residual_strong([res for res in (rmin, rsec) if res.converged], cert)
     separation = float(np.abs(rsec.u.values - rmin.u.values).max())
     sep_needed = (cert.radii.rho2 - cert.radii.rho1) if cert.passed else 1e-7
     distinct = rmin.converged and rsec.converged and separation > sep_needed
 
-    rmin.u.write_csv(os.path.join(outdir, "minimal.csv"))
     rsec.u.write_csv(os.path.join(outdir, "second.csv"))
     write_report(
         os.path.join(outdir, "report.json"),

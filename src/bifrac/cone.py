@@ -25,22 +25,21 @@ __all__ = [
     "verify_invariance",
 ]
 
+SLACK = 1e-12  # a constraint holds when its violation is at most SLACK * sup|u|
+
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Parameters of the cone: core half-width, ratio floor, slack."""
+    """Parameters of the cone: core half-width and ratio floor."""
 
     a_half: float = 0.5
     gamma: float = 0.0  # 0 marks the ratio constraint as unset
-    tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.a_half < 1.0:
             raise ValueError(f"a_half must lie in (0,1), got {self.a_half}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0,1), got {self.gamma}")
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
 
     @classmethod
     def for_kernel(cls, kp: KernelParams, a_half: float = 0.5):
@@ -83,14 +82,14 @@ def _violations(values: np.ndarray, sup, grid: Grid, spec: ConeSpec) -> dict:
 
 
 def check_membership(u: GridFunction, spec: ConeSpec) -> MembershipReport:
-    """Test the four cone constraints with slack spec.tol times sup|u|.
+    """Test the four cone constraints with a slack of SLACK times sup|u|.
 
     Violation magnitudes are reported in absolute units so callers can
     apply their own thresholds.  The zero function is a member.
     """
     sup = u.sup_norm
     v = {kind: max(0.0, float(val)) for kind, val in _violations(u.values, sup, u.grid, spec).items()}
-    ok = {kind: val <= spec.tol * sup for kind, val in v.items()}
+    ok = {kind: val <= SLACK * sup for kind, val in v.items()}
     return MembershipReport(ok["negative"], ok["asymmetry"], ok["unimodality"], ok["ratio"], v)
 
 
@@ -166,7 +165,7 @@ def verify_invariance(p, spec: ConeSpec, kp: KernelParams, count, *, grid=None, 
 
     Sample amplitudes vary over two decades so the nonlinearity is probed
     both in its shallow and steep regimes.  Violations are measured
-    relative to the sup of the image, with the slack of the supplied spec.
+    relative to the sup of the image, with check_membership's slack.
     The same members also go through G alone, for linear_shape.  Members
     are drawn, pushed and checked SAMPLE_BLOCK at a time, so memory does
     not grow with count.
@@ -194,6 +193,6 @@ def verify_invariance(p, spec: ConeSpec, kp: KernelParams, count, *, grid=None, 
         member = np.ones(len(block), dtype=bool)
         for kind, val in _violations(image, sup, grid, spec).items():
             by_kind[kind] = max(by_kind[kind], float(_relative(val, sup).max()))
-            member &= val <= spec.tol * sup
+            member &= val <= SLACK * sup
         failures += int(np.count_nonzero(~member))
     return InvarianceReport(count, failures, max(by_kind.values()), by_kind, linear_shape)

@@ -283,14 +283,13 @@ def _core_mass(a_half: float, kp: KernelParams) -> float:
 def coercivity_a(spec, p: float, kp: KernelParams) -> float:
     """Coercivity constant a = gamma^p int_U G(0,y) dy of the cone `spec`.
 
-    gamma is the cone's ratio floor and U = (-a_half, a_half) its core, on
-    which members are at least gamma |u|, so G(u^p)(0) >= a |u|^p.  The
-    bound holds for any floor up to gamma_U, which G preserves; an unset
-    floor (gamma = 0) raises ValueError.  Never exceeds operator_norm_b.
-    The core mass is a closed form (see _core_mass), so no quadrature.
+    Members are at least gamma |u| on its core U = (-a_half, a_half), so
+    G(u^p)(0) >= a |u|^p holds for a floor 0 < gamma <= gamma_U, which G
+    preserves; an unset floor (gamma = 0) raises ValueError.  Never
+    exceeds operator_norm_b.  The core mass is a closed form (_core_mass).
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if not spec.gamma > 0:
-        raise ValueError("coercivity needs the cone's ratio floor; gamma is unset")
+        raise ValueError("coercivity_a needs a cone floor 0 < gamma <= gamma_U; this cone's is unset")
     return spec.gamma**p * _core_mass(spec.a_half, kp)

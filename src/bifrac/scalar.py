@@ -75,10 +75,6 @@ class CertificateFailure:
     lhs: float
     c_p: float
 
-    @property
-    def margin(self) -> float:
-        return self.c_p - self.lhs
-
 
 def critical_constant(p: float) -> float:
     """Threshold constant c_p = ((p-1)^((1-p)/p) + (p-1)^(1/p))^(-p).

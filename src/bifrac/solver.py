@@ -1,9 +1,8 @@
 """Two solution branches of u = G(u^p) + G(h) and the fold in between.
 
 `certify(h, p, kp, a_half)` poses the problem once: its CertificateReport
-holds h, p, the kernel, the kernel's cone with core half-width a_half,
-u0 = G h, the constants b and a and the radii.  It refuses a forcing
-that is not finite or lacks the cone shape.
+holds h, p, the kernel, its cone, u0 = G h, the constants b and a and the
+radii, and refuses a forcing that is not finite or lacks the cone shape.
 `picard_minimal`, `newton_second`, `krasnoselskii_probe` and
 `residual_strong` take that report and recompute none of it.
 
@@ -93,8 +92,7 @@ class CertificateReport:
 
     The branch solvers and the probe read h, u0 = G h and the constants
     from it; `to_dict` writes the constants and the verdict only.  A
-    forcing that is not finite or lacks the cone shape cannot be built
-    into one (ValueError).
+    forcing that is not finite or lacks the cone shape raises ValueError.
     """
 
     h: GridFunction = field(repr=False)
@@ -135,7 +133,7 @@ class CertificateReport:
 def _require_forcing_shape(h: GridFunction):
     """Raise ValueError unless h is finite with the cone shape; it need not meet the ratio floor."""
     need = "forcing must be finite, nonnegative, even and unimodal"
-    if not np.isfinite(h.values).all():
+    if not np.isfinite(h.sup_norm):
         raise ValueError(f"{need}: it has non-finite values")
     rep = check_membership(h, ConeSpec(gamma=0.0))
     if not rep.member:
@@ -145,22 +143,22 @@ def _require_forcing_shape(h: GridFunction):
 def certify(h: GridFunction, p: float, kp: KernelParams, a_half: float = 0.5) -> CertificateReport:
     """Pose the problem for the forcing h and run the radii certificate on it.
 
-    a is taken from the kernel's cone, ConeSpec.for_kernel(kp, a_half).  A
+    a comes from the kernel's cone, ConeSpec.for_kernel(kp, a_half).  A
     forcing that is not finite or lacks the cone shape raises ValueError.
     """
-    _require_forcing_shape(h)
+    if not np.isfinite(h.sup_norm):  # raise before nan reaches the radii; the report checks the shape
+        _require_forcing_shape(h)
     spec = ConeSpec.for_kernel(kp, a_half)
     u0 = apply_green(h, kp)
     b = operator_norm_b(kp, p)
     a = coercivity_a(spec, p, kp)
     c_p = critical_constant(p)
-    u0_sup = u0.sup_norm
-    lhs = b * u0_sup ** (p - 1.0)
-    res = radii_certificate(a, b, u0_sup, p)
+    lhs = b * u0.sup_norm ** (p - 1.0)
+    res = radii_certificate(a, b, u0.sup_norm, p)
     passed = isinstance(res, Radii)
     return CertificateReport(
         h=h, p=p, kp=kp, spec=spec, u0=u0, b=b, a_coerc=a, c_p=c_p,
-        u0_sup=u0_sup, lhs=lhs, passed=passed, margin=(c_p - lhs) / c_p,
+        u0_sup=u0.sup_norm, lhs=lhs, passed=passed, margin=(c_p - lhs) / c_p,
         radii=res if passed else None, failure=None if passed else res,
     )
 

@@ -134,7 +134,7 @@ def test_certificate_failure_kinds():
     over = radii_certificate(0.5, 1.0, 0.6, 2.0)
     assert isinstance(over, CertificateFailure)
     assert over.kind == "supercritical"
-    assert over.margin < 0
+    assert over.lhs > over.c_p
 
     degenerate = radii_certificate(0.5, 1.0, 0.0, 2.0)
     assert isinstance(degenerate, CertificateFailure)
