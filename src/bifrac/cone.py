@@ -49,18 +49,10 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    nonneg: bool
-    symmetric: bool
-    unimodal: bool
-    ratio_ok: bool
+    """check_membership's verdict and the four violations it was decided from."""
+
+    member: bool
     violations: dict
-
-    @property
-    def member(self) -> bool:
-        return self.nonneg and self.symmetric and self.unimodal and self.ratio_ok
-
-    def worst(self) -> float:
-        return max(self.violations.values())
 
 
 def _violations(values: np.ndarray, sup, grid: Grid, spec: ConeSpec) -> dict:
@@ -89,8 +81,7 @@ def check_membership(u: GridFunction, spec: ConeSpec) -> MembershipReport:
     """
     sup = u.sup_norm
     v = {kind: max(0.0, float(val)) for kind, val in _violations(u.values, sup, u.grid, spec).items()}
-    ok = {kind: val <= SLACK * sup for kind, val in v.items()}
-    return MembershipReport(ok["negative"], ok["asymmetry"], ok["unimodality"], ok["ratio"], v)
+    return MembershipReport(all(val <= SLACK * sup for val in v.values()), v)
 
 
 # cone members a battery draws, pushes and checks at once; bounds its memory
@@ -150,10 +141,6 @@ class InvarianceReport:
     worst_violation: float
     by_kind: dict
     linear_shape: float
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
 
 
 def _relative(val, sup):

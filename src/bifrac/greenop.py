@@ -55,9 +55,6 @@ class Grid:
 
     n: int
     nodes: np.ndarray = field(init=False, repr=False)
-    # the quadrature plan of kernels.frac_laplacian_pv for the last points
-    # evaluated on this grid: it depends on the nodes and the points only
-    pv_plan: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.n

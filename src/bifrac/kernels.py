@@ -536,6 +536,9 @@ class _PVPlan:
         self.wq, self.dist = np.concatenate(wq), np.concatenate(dist)
 
 
+_PV_PLANS = {}  # grid size -> _PVPlan of the last points frac_laplacian_pv evaluated at that size
+
+
 def frac_laplacian_pv(u, x, kp: KernelParams):
     """(-Delta)^(alpha/2) of a grid function at interior points x, vectorized.
 
@@ -568,10 +571,9 @@ def frac_laplacian_pv(u, x, kp: KernelParams):
     node gap, keeps that near 1e-11 up to n = 513.
 
     None of that geometry depends on alpha or on u: it is a plan
-    (`_PVPlan`) kept in the grid's one slot for the last points evaluated
-    there, and make_grid keeps one grid per size, so a call builds it only
-    for new points.  Every function of a call is evaluated over the same
-    reciprocals 1/(y - x_j) of its interpolant.
+    (`_PVPlan`), kept per grid size for the last points, so a call builds
+    it only for new points.  Every function of a call is evaluated over
+    the same reciprocals 1/(y - x_j) of its interpolant.
 
     Points too close to the endpoints are rejected: solutions carry a
     boundary singularity there and the quadrature cannot be trusted.
@@ -586,11 +588,9 @@ def frac_laplacian_pv(u, x, kp: KernelParams):
     alpha, s = kp.alpha, kp.alpha / 2.0
     xs = np.asarray(x, dtype=float)
     points = tuple(xs.ravel().tolist())
-    plan = grid.pv_plan
+    plan = _PV_PLANS.get(grid.n)
     if plan is None or plan.points != points:
-        plan = _PVPlan(grid.nodes, points)
-        # Grid is frozen for its size and nodes; this slot is a cache
-        object.__setattr__(grid, "pv_plan", plan)
+        plan = _PV_PLANS[grid.n] = _PVPlan(grid.nodes, points)
 
     q = _interpolant(grid.nodes, np.array([f.values for f in funcs]), kp)
     weight = lambda y: (1.0 - y * y) ** s

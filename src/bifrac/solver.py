@@ -3,8 +3,9 @@
 `certify(h, p, kp, a_half)` poses the problem once: its CertificateReport
 holds h, p, the kernel, its cone, u0 = G h, the constants b and a and the
 radii, and refuses a forcing that is not finite or lacks the cone shape.
-`picard_minimal`, `newton_second`, `krasnoselskii_probe` and
-`residual_strong` take that report and recompute none of it.
+`picard_minimal(cert, tol)`, `newton_second(cert, known, tol)`,
+`krasnoselskii_probe` and `residual_strong(result, cert)` take that
+report and recompute none of it.
 
 The minimal branch is the monotone limit of Picard iteration from zero.
 Picard is capped, as near the fold it would need up to 1e5 steps; a
@@ -27,9 +28,9 @@ grid only for cone checks, residuals and reports.
 
 `residual_strong` checks the equation pointwise on both branches in one
 principal-value pass: `frac_laplacian_pv` takes the branches together,
-over a quadrature plan that does not depend on alpha and is kept on the
-grid, so neither the plan nor the interpolant's reciprocals are built
-twice.
+over a quadrature plan that does not depend on alpha and is kept per
+grid size, so neither the plan nor the interpolant's reciprocals are
+built twice.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ __all__ = [
 # a start that falls outside the deflated iteration's basin
 _SECOND_STARTS = (1.0, 1.5, 0.75, 2.5, 4.0)
 
-# step caps of a branch solve: the minimal branch's Picard phase, each Newton run
-_PICARD_MAX, _NEWTON_MAX = 300, 100
+# step caps: the minimal branch's Picard phase, a Newton run, a newton_second start
+_PICARD_MAX, _NEWTON_MAX, _SECOND_MAX = 300, 100, 80
+
+_PROBES = (0.0, 0.25, -0.25, 0.5, -0.5)  # where residual_strong checks the equation
 
 
 def _pow(u, p):
@@ -254,17 +257,17 @@ def _branch_system(M, u0vec, p):
     return lambda u: (u - M @ _pow(u, p) - u0vec, eye - M * _dpow(u, p)[None, :])
 
 
-def _minimal_branch(M, u0vec, p, b, tol, newton_tol, picard_max=_PICARD_MAX):
+def _minimal_branch(M, u0vec, p, b, tol, newton_tol):
     """(u, iterations, status) for the minimal solution of u = M u^p + u0vec.
 
     Picard from zero increases, so an iterate past four times the scalar
-    tangency amplitude means "diverged".  Capped at picard_max steps, its
+    tangency amplitude means "diverged".  Capped at _PICARD_MAX steps, its
     last iterate is a subsolution below the minimal branch, from which
     Newton on this convex map climbs to it.  Counts the steps of both.
     """
     guard = 4.0 * tangency_amplitude(b, p)
     u = np.zeros_like(u0vec)
-    for it in range(1, picard_max + 1):
+    for it in range(1, _PICARD_MAX + 1):
         un = M @ _pow(u, p) + u0vec
         step = float(np.abs(un - u).max())
         u = un
@@ -273,7 +276,7 @@ def _minimal_branch(M, u0vec, p, b, tol, newton_tol, picard_max=_PICARD_MAX):
         if step < tol:
             return u, it, "converged"
     u, it, status = _newton(_branch_system(M, u0vec, p), u, newton_tol, _NEWTON_MAX)
-    return u, picard_max + it, status
+    return u, _PICARD_MAX + it, status
 
 
 def _second_branch(system, known, profile, scalar, tol, max_iter, accept=None, weight=1.0):
@@ -311,11 +314,11 @@ def _branch_result(cert, M, half, iterations, branch, status, known_in_cone=Fals
                        in_cone=in_cone, converged=status == "converged", status=status)
 
 
-def picard_minimal(cert: CertificateReport, tol: float = 1e-12, max_iter: int = _PICARD_MAX) -> SolveResult:
+def picard_minimal(cert: CertificateReport, tol: float = 1e-12) -> SolveResult:
     """Minimal-branch solution of the problem `cert` poses, by monotone iteration from zero.
 
     Picard runs on the even half, guarded at four times the scalar
-    tangency amplitude ("diverged" past it), for at most max_iter steps;
+    tangency amplitude ("diverged" past it), for at most _PICARD_MAX steps;
     if none moves the iterate by less than tol, Newton finishes from the
     last one (see _minimal_branch).  `iterations` counts both kinds of
     step, and is 0 for a zero forcing, whose solution is zero.
@@ -323,40 +326,38 @@ def picard_minimal(cert: CertificateReport, tol: float = 1e-12, max_iter: int = 
     M, m = get_operator(cert.h.grid, cert.kp).matrix, cert.h.grid.n // 2 + 1
     if cert.u0_sup == 0.0:
         return _branch_result(cert, M, np.zeros(m), 0, "minimal", "converged")
-    half, iters, status = _minimal_branch(_half(M), cert.u0.values[:m], cert.p, cert.b, tol, tol, max_iter)
+    half, iters, status = _minimal_branch(_half(M), cert.u0.values[:m], cert.p, cert.b, tol, tol)
     return _branch_result(cert, M, half, iters, "minimal", status)
 
 
-def newton_second(
-    cert: CertificateReport, known: "SolveResult | GridFunction", tol: float = 1e-12, max_iter: int = 80
-) -> SolveResult:
-    """Second-branch solution by Newton iteration deflated off the known one.
+def newton_second(cert: CertificateReport, known: GridFunction, tol: float = 1e-12) -> SolveResult:
+    """Second-branch solution by Newton iteration deflated off the known solution.
 
-    Starts are the known profile rescaled to the _SECOND_STARTS multiples
-    of the scalar model's larger root, which predicts the second branch
-    sup well.  A candidate is accepted only if it converged to something
-    genuinely distinct, nonnegative and inside the cone, beyond rho2 when
-    the certificate passed.  The fold sweep runs the same search.  The
-    search runs on the even half, which `cert`'s forcing is guaranteed to fit.
+    Newton runs for up to _SECOND_MAX steps from the known profile rescaled
+    to each _SECOND_STARTS multiple of the scalar model's larger root,
+    which predicts the second branch sup well.  A candidate is accepted
+    only if it converged to something genuinely distinct, nonnegative and
+    inside the cone, beyond rho2 when the certificate passed.  The search,
+    which the fold sweep runs too, works on the even half, which `cert`'s
+    forcing is guaranteed to fit.
     """
     h, p, spec, radii = cert.h, cert.p, cert.spec, cert.radii
-    known_u = known.u if isinstance(known, SolveResult) else known
     M, m = get_operator(h.grid, cert.kp).matrix, h.grid.n // 2 + 1
     sep_floor = max(1e-7, 10.0 * tol, (radii.rho2 - radii.rho1) / 2.0 if radii else 0.0)
 
     def accept(half):
         vals = _expand(half)
         return (
-            float(np.abs(vals - known_u.values).max()) > sep_floor
+            float(np.abs(vals - known.values).max()) > sep_floor
             and check_membership(h.with_values(vals), spec).member
             and (radii is None or float(np.abs(vals).max()) > radii.rho2)
         )
 
     # a zero known solution gives no shape; start from the torsion profile
-    profile = known_u.values if known_u.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (cert.kp.alpha / 2.0)
+    profile = known.values if known.sup_norm > 0.0 else (1.0 - h.grid.nodes**2) ** (cert.kp.alpha / 2.0)
     half, iters, status = _second_branch(
-        _branch_system(_half(M), cert.u0.values[:m], p), known_u.values[:m], profile[:m],
-        ScalarProblem(b=cert.b, u0=cert.u0_sup, p=p), tol, max_iter, accept, _even_weight(m),
+        _branch_system(_half(M), cert.u0.values[:m], p), known.values[:m], profile[:m],
+        ScalarProblem(b=cert.b, u0=cert.u0_sup, p=p), tol, _SECOND_MAX, accept, _even_weight(m),
     )
     # a converged second branch passed `accept`, cone check included
     return _branch_result(cert, M, half, iters, "second", status, known_in_cone=status == "converged")
@@ -388,11 +389,9 @@ def krasnoselskii_probe(rho: float, cert: CertificateReport, count: int, seed: i
 
 
 def residual_strong(
-    result: SolveResult | Sequence[SolveResult],
-    cert: CertificateReport,
-    probes=(0.0, 0.25, -0.25, 0.5, -0.5),
+    result: SolveResult | Sequence[SolveResult], cert: CertificateReport
 ) -> float | list[float]:
-    """Pointwise residual of the differential equation at the probe points.
+    """Pointwise residual of the differential equation at x = 0, +-0.25, +-0.5 (_PROBES).
 
     Evaluates the fractional Laplacian of the computed solution by the
     principal-value quadrature, on its weighted interpolant, and compares
@@ -403,7 +402,7 @@ def residual_strong(
     """
     single = isinstance(result, SolveResult)
     results = [result] if single else list(result)
-    probes = np.asarray(probes, dtype=float)
+    probes = np.asarray(_PROBES)
     laps = frac_laplacian_pv([res.u for res in results], probes, cert.kp)
     h_at = interpolate(cert.h, probes)
     for res, lap in zip(results, laps):

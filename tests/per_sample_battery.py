@@ -6,10 +6,10 @@ own GridFunction, the unimodality and invariance items draw their
 samples separately, the gamma_U table covers y < 0 as well as y > 0, and
 every reflection and kul argument set and every Poisson base point gets
 its own kernel call, on the Green function as it was before its plans
-(green_reference.py), and each tail of the Poisson mass rebuilds both of
-its Gauss-Jacobi rules.  The batched battery must reproduce every
-`worst`, `refined` and `failures` value of this one bit for bit, and the
-batched Krasnoselskii probe the range of `probe_sups`.
+(green_reference.py), each tail of the Poisson mass rebuilds both of
+its Gauss-Jacobi rules, and each item states its verdict itself.  The
+batched battery must reproduce every item of this one bit for bit, and
+the batched Krasnoselskii probe the range of `probe_sups`.
 """
 
 import numpy as np
@@ -111,7 +111,7 @@ def green_ratio_table(a_half, kp):
 
 
 def battery(cfg):
-    """Every `worst`, `refined` and `failures` value of the battery, keyed by item."""
+    """Every item of the battery, keyed by item."""
     kp = cfg.kernel_params()
     grid = make_grid(cfg.grid_n)
     spec = ConeSpec.for_kernel(kp, a_half=cfg.a_half)
@@ -119,7 +119,14 @@ def battery(cfg):
 
     g1 = gamma_U(cfg.a_half, kp)
     g2 = green_ratio_table(cfg.a_half, kp)
-    out["green_ratio"] = {"worst": abs(g2 - g1) / g1, "refined": g2}
+    rel = abs(g2 - g1) / g1 if g1 > 0 else float("inf")
+    out["green_ratio"] = {
+        "pass": g1 > 0 and rel <= cfg.tol("green_ratio"),
+        "worst": rel,
+        "threshold": cfg.tol("green_ratio"),
+        "value": g1,
+        "refined": g2,
+    }
 
     worst_shape = 0.0
     for u in sample_cone(1.0, cfg.samples, cfg.seed, grid=grid, kp=kp, spec=spec):
@@ -128,7 +135,12 @@ def battery(cfg):
         sup = image.sup_norm
         defect = max(viol["asymmetry"], viol["unimodality"])
         worst_shape = max(worst_shape, defect / sup if sup > 0 else 0.0)
-    out["unimodality"] = {"worst": worst_shape}
+    out["unimodality"] = {
+        "pass": worst_shape <= cfg.tol("unimodality"),
+        "worst": worst_shape,
+        "threshold": cfg.tol("unimodality"),
+        "samples": cfg.samples,
+    }
 
     worst_refl = 0.0
     half = np.arange(1, 11) * 0.095
@@ -140,7 +152,11 @@ def battery(cfg):
         both = np.abs(gw(-S, -T) - gw(S, T)).max()
         single = np.abs(gw(-S, T) - gw(S, -T)).max()
         worst_refl = max(worst_refl, float(both), float(single))
-    out["reflection"] = {"worst": worst_refl}
+    out["reflection"] = {
+        "pass": worst_refl <= cfg.tol("reflection"),
+        "worst": worst_refl,
+        "threshold": cfg.tol("reflection"),
+    }
 
     s = np.linspace(0.025, 0.975, 39)
     S, T = np.meshgrid(s, s, indexing="ij")
@@ -150,11 +166,24 @@ def battery(cfg):
         same = green_interval(z + S * r, z + T * r, z, r, kp)
         opposite = green_interval(z - S * r, z + T * r, z, r, kp)
         worst_kul = max(worst_kul, float((opposite - same).max()))
-    out["kul"] = {"worst": worst_kul}
+    out["kul"] = {
+        "pass": worst_kul <= cfg.tol("kul"),
+        "worst": worst_kul,
+        "threshold": cfg.tol("kul"),
+    }
 
     worst_mass = max(abs(poisson_total_mass(x, 1.0, kp) - 1.0) for x in (0.0, 0.35, -0.6))
-    out["poisson"] = {"worst": worst_mass}
+    out["poisson"] = {
+        "pass": worst_mass <= cfg.tol("poisson"),
+        "worst": worst_mass,
+        "threshold": cfg.tol("poisson"),
+    }
 
     worst, failures = invariance(cfg.p, spec, kp, cfg.samples, grid, cfg.seed)
-    out["invariance"] = {"worst": worst, "failures": failures}
+    out["invariance"] = {
+        "pass": failures == 0 and worst <= cfg.tol("invariance"),
+        "worst": worst,
+        "threshold": cfg.tol("invariance"),
+        "failures": failures,
+    }
     return out

@@ -21,9 +21,10 @@ from bifrac.solver import certify, krasnoselskii_probe
 
 def assert_matches_oracle(cfg):
     got = lemma_battery(cfg)["items"]
-    for item, want in oracle.battery(cfg).items():
-        for key, value in want.items():
-            assert repr(got[item][key]) == repr(value), (item, key)
+    want = oracle.battery(cfg)
+    assert list(got) == list(want)
+    for item in want:
+        assert repr(got[item]) == repr(want[item]), item
 
 
 @pytest.mark.parametrize(
@@ -32,6 +33,13 @@ def assert_matches_oracle(cfg):
 )
 def test_battery_matches_per_sample_oracle(alpha, a_half, p, seed):
     assert_matches_oracle(RunConfig(alpha=alpha, a_half=a_half, p=p, seed=seed))
+
+
+@pytest.mark.parametrize("tolerances", [{"all": 0.1, "kul": 0.0}, {"all": 0.0}], ids=["kul0", "all0"])
+def test_verdicts_follow_the_tolerances(tolerances):
+    # an item's own tolerance beats "all"; kul's worst is 0 and passes a zero
+    # tolerance, which fails every positive worst
+    assert_matches_oracle(RunConfig(tolerances=tolerances))
 
 
 def test_blocks_keep_the_draws(monkeypatch, grid65, kp, spec):

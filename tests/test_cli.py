@@ -133,6 +133,17 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["h.csv"]
 
+    @pytest.mark.parametrize("command", ["certify", "solve", "sweep"])
+    def test_usage_error_amplitude_with_csv(self, tmp_path, capsys, command):
+        # the amplitude scales a named profile; a CSV forcing is taken as given
+        g = make_grid(65)
+        GridFunction(g, 0.05 * (1 - g.nodes**2)).write_csv(tmp_path / "h.csv")
+        assert run(tmp_path, command, "--h-csv", str(tmp_path / "h.csv"), "--h-amplitude", "5") == 2
+        err = capsys.readouterr().err
+        assert "h_amplitude" in err and "h_csv" in err
+        assert os.listdir(tmp_path) == ["h.csv"]
+        assert run(tmp_path, command, "--h-csv", str(tmp_path / "h.csv"), "--h-amplitude", "auto") != 2
+
     @pytest.mark.parametrize("command", ["lemmas", "certify"])
     def test_usage_error_negative_seed(self, tmp_path, capsys, command):
         assert run(tmp_path, command, "--seed", "-1") == 2
@@ -346,11 +357,13 @@ class TestConfigPlumbing:
             "samples": 7, "solve_tol": 1e-10, "lambda_lo": 0.5, "lambda_hi": 3.0,
             "steps": 5, "scalar": True, "output_dir": str(tmp_path),
         }
+        if amplitude is not None:  # a number scales the profile; a CSV forcing is taken as given
+            del settings["h_csv"]
         lines = [f"{k} = {'auto' if v is None else v}" for k, v in settings.items()]
         (tmp_path / "run.cfg").write_text("\n".join([*lines, "tol_all = 0.1", "tol_poisson = 1e-3"]))
         assert main(["certify", "--config", str(tmp_path / "run.cfg")]) == 0
         got = read_json(tmp_path, "certificate.json")["config"]
-        assert got == {**settings, "tolerances": {"all": 0.1, "poisson": 1e-3}}
+        assert got == {"h_csv": None, **settings, "tolerances": {"all": 0.1, "poisson": 1e-3}}
         assert set(got) == {f.name for f in fields(RunConfig)}
 
     def test_tolerance_flags_merge_over_file_items(self, tmp_path):

@@ -362,7 +362,7 @@ class TestPrincipalValue:
             h = build_forcing(RunConfig(alpha=alpha, grid_n=n), kp_a)
             rep = certify(h, 2.0, kp_a)
             low = picard_minimal(rep)
-            high = newton_second(rep, low)
+            high = newton_second(rep, low.u)
             ones = apply_green(GridFunction(grid, np.ones(n)), kp_a)
             worst = 0.0
             for u in (ones, low.u, high.u):

@@ -1,4 +1,4 @@
-"""The principal-value evaluator over several functions, on a plan kept per grid."""
+"""The principal-value evaluator over several functions, on a plan kept per grid size."""
 
 import itertools
 import weakref
@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bifrac import kernels
 from bifrac.cli import RunConfig, build_forcing
 from bifrac.greenop import Grid, GridFunction, apply_green, make_grid
 from bifrac.kernels import KernelParams, frac_laplacian_pv
@@ -21,7 +22,7 @@ def branches(alpha, p, n, profile):
     h = build_forcing(RunConfig(alpha=alpha, p=p, grid_n=n, h_profile=profile), kp)
     cert = certify(h, p, kp)
     low = picard_minimal(cert)
-    return cert, [res for res in (low, newton_second(cert, low)) if res.converged]
+    return cert, [res for res in (low, newton_second(cert, low.u)) if res.converged]
 
 
 @pytest.mark.parametrize("n", [65, 129, 257])
@@ -62,31 +63,36 @@ def test_functions_must_share_a_grid():
 
 
 class TestPlanMemo:
-    def test_alpha_does_not_leak_into_the_plan(self):
+    def test_alpha_does_not_leak_into_the_plan(self, monkeypatch):
+        built = []
+        plan_cls = kernels._PVPlan
+        monkeypatch.setattr(kernels, "_PVPlan", lambda *args: built.append(args) or plan_cls(*args))
         grid = make_grid(129)
+        kernels._PV_PLANS.pop(grid.n, None)
         ones = np.ones(grid.n)
         plan = None
         for alpha in (1.05, 1.95, 1.05):
             kp = KernelParams(alpha=alpha)
             u = apply_green(GridFunction(grid, ones), kp)
             got = frac_laplacian_pv(u, PROBES, kp)
-            assert plan is None or grid.pv_plan is plan
-            plan = grid.pv_plan
-            # a fresh grid of the same size has an empty slot and builds its own plan
+            assert plan is None or kernels._PV_PLANS[grid.n] is plan
+            plan = kernels._PV_PLANS[grid.n]
+            # a fresh grid of the same size reuses the plan of its size
             fresh = Grid(grid.n)
-            assert fresh.pv_plan is None
             assert np.array_equal(got, frac_laplacian_pv(GridFunction(fresh, u.values), PROBES, kp))
+            assert kernels._PV_PLANS[grid.n] is plan
+        assert len(built) == 1
 
     def test_new_points_replace_the_slot(self):
         kp = KernelParams(alpha=1.5)
         grid = Grid(65)
         u = apply_green(GridFunction(grid, np.ones(65)), kp)
         frac_laplacian_pv(u, PROBES, kp)
-        old = weakref.ref(grid.pv_plan)
+        old = weakref.ref(kernels._PV_PLANS[65])
         other = np.array([0.1, -0.7])
         want = frac_laplacian_pv(u, other, kp)
-        assert grid.pv_plan.points == tuple(other.tolist())
-        assert old() is None  # the one slot let go of the previous plan
+        assert kernels._PV_PLANS[65].points == tuple(other.tolist())
+        assert old() is None  # the one slot per size let go of the previous plan
         assert np.array_equal(frac_laplacian_pv(u, other, kp), want)
 
     def test_rejected_points_leave_the_slot(self):
@@ -94,11 +100,11 @@ class TestPlanMemo:
         grid = Grid(65)
         u = GridFunction(grid, np.ones(65))
         frac_laplacian_pv(u, PROBES, kp)
-        plan = grid.pv_plan
+        plan = kernels._PV_PLANS[65]
         for bad in ([0.0, 0.9999], [-1.0], [np.nan]):
             with pytest.raises(ValueError):
                 frac_laplacian_pv(u, np.array(bad), kp)
-            assert grid.pv_plan is plan
+            assert kernels._PV_PLANS[65] is plan
         # the first offending point is named, whichever check it fails
         with pytest.raises(ValueError, match="0.9999 too close"):
             frac_laplacian_pv(u, np.array([0.2, 0.9999, 1.5]), kp)

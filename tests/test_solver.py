@@ -359,7 +359,7 @@ class TestEvenHalf:
             h = build_forcing(cfg, kp_a)
             rep = certify(h, p, kp_a)
             low = picard_minimal(rep)
-            high = newton_second(rep, low)
+            high = newton_second(rep, low.u)
             M = get_operator(h.grid, kp_a).matrix
             u0vec = M @ h.values
             scalar = ScalarProblem(b=operator_norm_b(kp_a, p), u0=float(np.abs(u0vec).max()), p=p)
